@@ -15,8 +15,10 @@ import argparse
 import csv
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -24,11 +26,12 @@ from .certificate import RiskSpec, binomial_upper_limit, max_removals
 from .data import (Instance, estimate_moments, instance_from_dict,
                    read_instance, read_price_csv, returns_from_prices,
                    write_instance)
-from .errors import CcsaaError, ConfigError, NumericalFailure, UnsupportedForMip
+from .errors import (CcsaaError, ConfigError, InfeasibleModel,
+                     NumericalFailure, UnsupportedForMip)
 from .gaussian import sample_scenarios, solve_gaussian_exact
 from .heuristics import METHODS, AsmConfig, run_method
-from .mip import build_saa_bigm, mip_solve
-from .reports import STATUS_OK, STATUS_TIME_LIMIT
+from .mip import apply_semicontinuous, build_saa_bigm, mip_solve
+from .reports import STATUS_OK, STATUS_TIME_LIMIT, SolveReport, WorkingSet
 from .saa import ScenarioSet, evaluate_outcomes
 
 RAW_COLUMNS = ["method", "n_scenarios", "k", "trial", "seed", "objective",
@@ -105,15 +108,20 @@ def test_seed(base_seed: int, trial: int) -> int:
 def validate_solution(x, instance: Instance, test_set_size: int, seed: int,
                       beta: float | None = None):
     """Out-of-sample violation rate and its one-sided upper confidence limit."""
+    test = sample_scenarios(instance.model, test_set_size, seed)
+    return _violation_rate(x, instance, test, beta)
+
+
+def _violation_rate(x, instance: Instance, test: ScenarioSet, beta=None):
+    """Violation rate of x on a given test set, with its upper limit."""
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n_assets,):
         raise ConfigError(f"solution has dimension {x.shape}, expected "
                           f"({instance.n_assets},)")
     beta = instance.beta if beta is None else beta
-    test = sample_scenarios(instance.model, test_set_size, seed)
     violations = evaluate_outcomes(x, test, instance.program_spec).violation_count
-    rate = violations / test_set_size
-    upper = binomial_upper_limit(violations, test_set_size, 1.0 - beta)
+    rate = violations / test.n_scenarios
+    upper = binomial_upper_limit(violations, test.n_scenarios, 1.0 - beta)
     return rate, upper
 
 
@@ -127,22 +135,25 @@ def _run_one_method(method, instance, scenarios, budget, cfg, seed,
                                     max(eps, 1e-9), semi=semi,
                                     cash_index=instance.cash_index)
     if method == "exact-mip":
+        t0 = time.perf_counter()
         model = build_saa_bigm(scenarios, instance.alpha, budget.k_removals,
                                instance.program_spec.objective)
         if semi is not None:
-            from .mip import apply_semicontinuous
             apply_semicontinuous(model, semi,
                                  [j for j in range(instance.n_assets)
                                   if j != instance.cash_index])
         res = mip_solve(model, time_limit=time_limit or 3600.0)
-        from .reports import SolveReport, WorkingSet
-        status = STATUS_OK if res.status == "optimal" else STATUS_TIME_LIMIT
-        return SolveReport(method="exact-mip", x=res.x[: instance.n_assets],
-                           objective=res.objective_value,
-                           working_set=WorkingSet([], {}),
-                           lp_solves=1, mip_nodes=res.node_count,
-                           wall_time=float("nan"), train_violations=0,
-                           seed=seed, status=status)
+        if res.status not in ("optimal", "time_limit"):
+            raise InfeasibleModel(f"exact big-M model is {res.status}")
+        x = res.x[: instance.n_assets]
+        return SolveReport(
+            method="exact-mip", x=x, objective=res.objective_value,
+            working_set=WorkingSet([], {}), lp_solves=res.lp_solves,
+            mip_nodes=res.node_count, wall_time=time.perf_counter() - t0,
+            train_violations=evaluate_outcomes(
+                x, scenarios, instance.program_spec).violation_count,
+            seed=seed,
+            status=STATUS_OK if res.status == "optimal" else STATUS_TIME_LIMIT)
     return run_method(method, scenarios, instance.program_spec, budget,
                       cfg=cfg, seed=seed, semi=semi, time_limit=time_limit)
 
@@ -155,23 +166,20 @@ def _trial_worker(args):
     semi = instance.semicontinuous if semicontinuous else None
     seed = scenario_seed(base_seed, trial)
     scenarios = sample_scenarios(instance.model, N, seed)
+    # one test set per trial, shared by every method like the training set
+    test = sample_scenarios(instance.model, test_size, test_seed(base_seed, trial))
     rows = []
     for method in methods:
         rep = _run_one_method(method, instance, scenarios, k_budget, cfg,
                               seed, semi, time_limit)
-        if method == "exact-mip":
-            tv = evaluate_outcomes(rep.x, scenarios,
-                                   instance.program_spec).violation_count
-        else:
-            tv = rep.train_violations
-        rate, upper = validate_solution(rep.x, instance, test_size,
-                                        test_seed(base_seed, trial))
+        rate, upper = _violation_rate(rep.x, instance, test)
         status = rep.status
         if time_limit is not None and rep.wall_time > time_limit:
             status = STATUS_TIME_LIMIT
         rows.append(TrialRow(method, N, k_budget.k_removals, trial, seed,
                              rep.objective, rep.wall_time, rep.lp_solves,
-                             rep.mip_nodes, tv, rate, upper, status))
+                             rep.mip_nodes, rep.train_violations, rate, upper,
+                             status))
     return rows
 
 
@@ -225,13 +233,7 @@ def sweep_w(config: ExperimentConfig, w_values):
     for w in w_values:
         if not 0.0 <= w <= 1.0:
             raise ConfigError(f"w must lie in [0,1], got {w}")
-        cfg = ExperimentConfig(
-            instance=config.instance, methods=["asm1"], n_grid=config.n_grid,
-            trials=config.trials, base_seed=config.base_seed,
-            time_limit=config.time_limit, test_set_size=config.test_set_size,
-            w=w, polish_iterations=config.polish_iterations,
-            semicontinuous=config.semicontinuous, jobs=config.jobs)
-        rows, _ = run_experiment(cfg)
+        rows, _ = run_experiment(replace(config, methods=["asm1"], w=w))
         ok = [r for r in rows if r.status == STATUS_OK]
         for N in config.n_grid:
             sub = [r for r in ok if r.n_scenarios == N]
@@ -368,10 +370,6 @@ def _parser():
     return p
 
 
-def _load_instance(path) -> Instance:
-    return read_instance(path)
-
-
 def _cmd_budget(args):
     spec = RiskSpec(args.epsilon, args.beta, args.n_dims)
     budget = max_removals(args.n_scenarios, spec, sum_limit=args.sum_limit)
@@ -381,7 +379,7 @@ def _cmd_budget(args):
 
 
 def _cmd_sample(args):
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     sc = sample_scenarios(inst.model, args.n_scenarios, args.seed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -436,7 +434,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_solve(args):
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     if args.scenarios:
         scenarios = read_scenario_csv(args.scenarios)
         if scenarios.n_assets != inst.n_assets:
@@ -476,28 +474,24 @@ def _cmd_solve(args):
 
 
 def _cmd_validate(args):
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     with open(args.report) as fh:
         raw = json.load(fh)
     x = np.asarray(raw["x"] if isinstance(raw, dict) else raw, dtype=float)
-    beta = inst.beta if args.beta is None else args.beta
     if args.scenarios:
         test = read_scenario_csv(args.scenarios)
         if test.n_assets != inst.n_assets:
             raise ConfigError("scenario file does not match the instance")
-        violations = evaluate_outcomes(x, test, inst.program_spec).violation_count
-        rate = violations / test.n_scenarios
-        upper = binomial_upper_limit(violations, test.n_scenarios, 1.0 - beta)
+        rate, upper = _violation_rate(x, inst, test, args.beta)
     else:
         rate, upper = validate_solution(x, inst, args.test_size, args.seed,
-                                        beta=beta)
+                                        beta=args.beta)
     print(f"{float(rate)!r},{float(upper)!r}")
     return 0
 
 
 def _cmd_experiment(args):
-    import pathlib
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     config = ExperimentConfig(
         instance=inst,
         methods=[m.strip() for m in args.methods.split(",") if m.strip()],
@@ -507,7 +501,7 @@ def _cmd_experiment(args):
         polish_iterations=args.polish_a,
         semicontinuous=args.semicontinuous, jobs=args.jobs)
     rows, aggs = run_experiment(config)
-    outdir = pathlib.Path(args.out_dir)
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "raw.csv", RAW_COLUMNS, [r.as_list() for r in rows])
     write_csv(outdir / "aggregate.csv", AGG_COLUMNS, aggs)
@@ -519,8 +513,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_sweep_w(args):
-    import pathlib
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     config = ExperimentConfig(
         instance=inst, methods=["asm1"],
         n_grid=[int(v) for v in args.n_grid.split(",")],
@@ -528,7 +521,7 @@ def _cmd_sweep_w(args):
         test_set_size=args.test_size, jobs=args.jobs)
     w_values = [float(v) for v in args.w_list.split(",")]
     records = sweep_w(config, w_values)
-    outdir = pathlib.Path(args.out_dir)
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "sweep_w.csv", SWEEP_COLUMNS, records)
     print(f"wrote {len(records)} sweep rows to {outdir}")
@@ -550,10 +543,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnsupportedForMip as e:
+    except (ConfigError, FileNotFoundError, KeyError, ValueError,
+            UnsupportedForMip) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalFailure as e:

@@ -13,12 +13,18 @@ Insertion family (start empty, add rows until certified):
   polish_dual         dual-guided polish of an active-set run (ASM-3)
 
 Every method returns a SolveReport whose solution violates at most k
-training scenarios.  Methods that rank by duals refuse integer masters
-(UnsupportedForMip): branch-and-bound exposes no dual values.
+training scenarios, with ``wall_time`` the method's elapsed time (a polish
+adds the time of the run it polished).  Methods that rank by duals refuse
+integer masters (UnsupportedForMip): branch-and-bound exposes no dual values.
+
+Tie rules.  A pick by dual value takes the largest |dual| and, among equal
+values, the smallest scenario index; FPND tries its candidates in that order.
+When no enforced row is binding, the removal family drops the row with the
+smallest slack, again the smallest scenario index among equal slacks.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,17 +68,24 @@ class AsmConfig:
 
 
 class _Master:
-    """Working model over a subset of scenario rows, LP or integer."""
+    """Working model over a subset of scenario rows, LP or integer.
+
+    ``row_of[i]`` is the model row enforcing scenario i, or -1 when the
+    scenario is not enforced; every view of the enforced set lists scenarios
+    in ascending index order.  ``started`` is the method's clock: deadlines
+    and the reported wall time run from the master's construction.
+    """
 
     def __init__(self, scenarios: ScenarioSet, spec: ChanceProgramSpec,
                  subset, semi: SemiContinuousSpec | None = None,
                  gap_tolerance: float = 1e-4):
+        self.started = time.perf_counter()
         self.scenarios = scenarios
         self.spec = spec
-        subset = list(subset)
+        subset = np.asarray(subset, dtype=np.int64)
         self.model = saa.build_saa_lp(scenarios, spec, subset=subset)
-        self.row_of = {int(i): rid for i, rid in
-                       zip(subset, range(1, len(subset) + 1))}
+        self.row_of = np.full(scenarios.n_scenarios, -1, dtype=np.int64)
+        self.row_of[subset] = np.arange(1, subset.size + 1)
         self.mip = None
         if semi is not None:
             if spec.cash_index is None:
@@ -93,6 +106,10 @@ class _Master:
     @property
     def is_mip(self) -> bool:
         return self.mip is not None
+
+    def out_of_time(self, time_limit) -> bool:
+        return (time_limit is not None
+                and time.perf_counter() - self.started > time_limit)
 
     def solve(self):
         t0 = time.perf_counter()
@@ -119,41 +136,42 @@ class _Master:
                                               self.spec, i)
 
     def remove(self, i: int):
-        self.model.remove_row(self.row_of.pop(i))
+        self.model.remove_row(int(self.row_of[i]))
+        self.row_of[i] = -1
 
-    def members(self):
-        return list(self.row_of.keys())
+    def enforced(self) -> np.ndarray:
+        """Enforced scenario indices, ascending."""
+        return np.flatnonzero(self.row_of >= 0)
 
     # -- state at the last solution --------------------------------------
-    def enforced_slack(self, indices=None):
-        """r_i . x - alpha for enforced scenarios at the last solution."""
-        idx = np.fromiter(self.row_of.keys() if indices is None else indices,
-                          dtype=np.int64)
+    def enforced_slack(self):
+        """Enforced scenarios and their r_i . x - alpha at the last solution."""
+        idx = self.enforced()
         return idx, self.scenarios.returns[idx] @ self.x - self.spec.alpha
 
-    def binding(self):
+    def binding(self) -> list:
         """Enforced scenarios whose row is tight at the last solution."""
-        if not self.row_of:
-            return []
         idx, over = self.enforced_slack()
-        mask = (over >= -1e-9) & (over <= self.binding_tol)
-        return sorted(int(i) for i in idx[mask])
+        return idx[(over >= -1e-9) & (over <= self.binding_tol)].tolist()
+
+    def closest_to_binding(self) -> int:
+        """The enforced scenario with the smallest slack."""
+        idx, over = self.enforced_slack()
+        return int(idx[np.argmin(over)])
 
     def duals(self):
-        """Scenario-row duals of the last LP solve; integer masters refuse."""
+        """(scenarios, duals) of the enforced rows at the last LP solve, in
+        ascending scenario order; integer masters refuse."""
         if self.is_mip or self._sol is None:
             raise UnsupportedForMip(
                 "dual values are not available from an integer master")
-        items = sorted(self.row_of.items())
-        ids = np.array([rid for _, rid in items], dtype=np.int64)
-        order = np.argsort(ids)
-        pis = np.empty(ids.size)
-        pis[order] = self._sol.duals_for(ids[order])
-        return {i: float(p) for (i, _), p in zip(items, pis)}
+        idx = self.enforced()
+        return idx, self._sol.duals_for(self.row_of[idx])
 
-    def working_set(self) -> WorkingSet:
-        items = sorted(self.row_of.items())
-        return WorkingSet([i for i, _ in items], dict(items))
+    def working_set(self, indices=None) -> WorkingSet:
+        idx = self.enforced() if indices is None else np.asarray(indices, np.int64)
+        members = idx.tolist()
+        return WorkingSet(members, dict(zip(members, self.row_of[idx].tolist())))
 
     def report(self, method, obj, seed=None, status=STATUS_OK,
                extra_solves=0, extra_nodes=0, extra_time=0.0,
@@ -167,12 +185,15 @@ class _Master:
             working_set=self.working_set() if working_set is None else working_set,
             lp_solves=self.solves + extra_solves,
             mip_nodes=self.mip_nodes + extra_nodes,
-            wall_time=self.solver_time + extra_time,
+            wall_time=time.perf_counter() - self.started + extra_time,
             train_violations=int(violations), seed=seed, status=status)
 
 
-def _deadline_hit(t0, time_limit):
-    return time_limit is not None and time.perf_counter() - t0 > time_limit
+def _largest_dual(scenarios, duals):
+    """(scenario, |dual|) with the largest |dual|.  ``scenarios`` ascend, so
+    argmax's first maximum is the smallest index among equal values."""
+    pos = int(np.argmax(np.abs(duals)))
+    return int(scenarios[pos]), float(abs(duals[pos]))
 
 
 # ----------------------------------------------------------------------
@@ -190,19 +211,15 @@ def greedy_removal(scenarios, spec, budget: ScenarioBudget, semi=None,
                    time_limit=None) -> SolveReport:
     """GR-P: k rounds, each trial-removing every binding row and keeping the
     removal that improves the objective most."""
-    t0 = time.perf_counter()
     master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
     x, obj = master.solve()
     best_x, best_obj = x.copy(), obj
     for _ in range(budget.k_removals):
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             return master.report("grp", best_obj, x=best_x,
                                  status=STATUS_TIME_LIMIT)
-        candidates = master.binding()
-        if not candidates:
-            # nothing binding: drop the row closest to binding
-            idx, over = master.enforced_slack()
-            candidates = [int(idx[np.argmin(over)])]
+        # nothing binding: drop the row closest to binding
+        candidates = master.binding() or [master.closest_to_binding()]
         best = None
         for i in candidates:
             master.remove(i)
@@ -222,17 +239,13 @@ def greedy_removal(scenarios, spec, budget: ScenarioBudget, semi=None,
 def random_removal(scenarios, spec, budget: ScenarioBudget, seed,
                    semi=None, time_limit=None) -> SolveReport:
     """RA-P: k rounds, each dropping one binding row chosen uniformly."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
     x, obj = master.solve()
     for _ in range(budget.k_removals):
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             return master.report("rap", obj, seed=seed, status=STATUS_TIME_LIMIT)
-        candidates = master.binding()
-        if not candidates:
-            idx, over = master.enforced_slack()
-            candidates = [int(idx[np.argmin(over)])]
+        candidates = master.binding() or [master.closest_to_binding()]
         master.remove(candidates[int(rng.integers(len(candidates)))])
         x, obj = master.solve()
     return master.report("rap", obj, seed=seed)
@@ -242,19 +255,16 @@ def dual_greedy_removal(scenarios, spec, budget: ScenarioBudget,
                         time_limit=None) -> SolveReport:
     """FGR-P: like GR-P but each round removes the binding row whose dual
     promises the largest instantaneous improvement; 1 + k solves total."""
-    t0 = time.perf_counter()
     master = _Master(scenarios, spec, range(scenarios.n_scenarios))
     x, obj = master.solve()
     for _ in range(budget.k_removals):
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             return master.report("fgrp", obj, status=STATUS_TIME_LIMIT)
-        pis = master.duals()
         # improvement rate per unit relaxation is |dual| regardless of the
         # row-orientation sign convention
-        pick = max(pis, key=lambda i: (abs(pis[i]), -i))
-        if abs(pis[pick]) <= 1e-12:
-            idx, over = master.enforced_slack()
-            pick = int(idx[np.argmin(over)])
+        pick, rate = _largest_dual(*master.duals())
+        if rate <= 1e-12:
+            pick = master.closest_to_binding()
         master.remove(pick)
         x, obj = master.solve()
     return master.report("fgrp", obj)
@@ -282,7 +292,6 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
     """
     method = "fpnd" if fast else "pnd"
     cfg = cfg or AsmConfig()
-    t0 = time.perf_counter()
     k = budget.k_removals
     master = _Master(scenarios, spec, [], semi=semi)
     if fast and master.is_mip:
@@ -296,7 +305,7 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
             raise CapExceeded("pooling round cap exceeded",
                               report=master.report(method, obj, seed=seed,
                                                    status=STATUS_CAP))
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             return master.report(method, obj, seed=seed,
                                  status=STATUS_TIME_LIMIT)
         master.add(int(out.ranked[0]))
@@ -306,20 +315,18 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
     incumbent_x, incumbent_obj = x.copy(), obj
     incumbent_viol = out.violation_count
     improved = True
-    while improved and master.row_of:
+    while improved:
         improved = False
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             break
-        if fast:
-            pis = master.duals()
-            order = sorted(master.binding(),
-                           key=lambda i: (-abs(pis.get(i, 0.0)), i))
-        else:
-            order = master.binding()
+        order = master.binding()
         if not order:
             break
         if fast:
             # test candidates in dual order, accept the first that works
+            idx, pis = master.duals()
+            rate = np.abs(pis[np.searchsorted(idx, order)])
+            order = [order[p] for p in np.lexsort((order, -rate))]
             for i in order:
                 master.remove(i)
                 x, obj = master.solve()
@@ -353,15 +360,9 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
 
     # keep only rows binding at the incumbent in the reported working set
     master.x = incumbent_x
-    ws = master.working_set()
-    if len(ws):
-        idx, over = master.enforced_slack()
-        keep = {int(i) for i, o in zip(idx, over)
-                if -1e-9 <= o <= master.binding_tol}
-        ws = WorkingSet([i for i in ws.scenario_indices if i in keep],
-                        {i: r for i, r in ws.row_ids.items() if i in keep})
     return master.report(method, incumbent_obj, seed=seed, x=incumbent_x,
-                         working_set=ws, violations=incumbent_viol)
+                         working_set=master.working_set(master.binding()),
+                         violations=incumbent_viol)
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +385,6 @@ def active_set(scenarios, spec, budget: ScenarioBudget,
     scenario at rank ``floor(w (k+1) + (1-w) |ranked|)`` and re-solve warm.
     """
     cfg = cfg or AsmConfig()
-    t0 = time.perf_counter()
     k = budget.k_removals
     master = _Master(scenarios, spec, [], semi=semi)
     x, obj = master.solve()
@@ -398,7 +398,7 @@ def active_set(scenarios, spec, budget: ScenarioBudget,
             raise CapExceeded(
                 "active-set addition cap exceeded",
                 report=master.report("asm1", obj, seed=seed, status=STATUS_CAP))
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             return master.report("asm1", obj, seed=seed,
                                  status=STATUS_TIME_LIMIT)
         j = _rank_position(k, ranked.size, cfg.w)
@@ -409,12 +409,20 @@ def active_set(scenarios, spec, budget: ScenarioBudget,
                          violations=int(ranked.size))
 
 
+def _unpolished(report: SolveReport, method: str) -> SolveReport:
+    """An empty working set leaves nothing to polish: the run, retagged."""
+    return replace(report, method=method, x=report.x.copy(),
+                   working_set=report.working_set.copy(), status=STATUS_OK)
+
+
 def _polish_master(report: SolveReport, scenarios, spec, budget, semi):
+    """Master over the run's working set, and the run as the incumbent."""
     if report.train_violations > budget.k_removals:
         raise ValueError("polish input must be certified")
     master = _Master(scenarios, spec, list(report.working_set.scenario_indices),
                      semi=semi)
-    return master
+    return master, (report.x.copy(), report.objective, report.train_violations,
+                    report.working_set.copy())
 
 
 def _kth_outcome(out, k: int):
@@ -423,53 +431,62 @@ def _kth_outcome(out, k: int):
     return out.kth_ranked(max(k, 1))
 
 
+def _polish_step(master: _Master, k: int, incumbent):
+    """Re-solve after a removal; while the test rank is violated, swap that
+    scenario in and re-solve once more.  Returns the incumbent, replaced when
+    the point is certified and better, and the scenario swapped in or None."""
+    x, obj = master.solve()
+    out = evaluate_outcomes(x, master.scenarios, master.spec)
+    kth, swap_in = _kth_outcome(out, k)
+    if kth > VIOLATION_TOL and master.row_of[swap_in] < 0:
+        master.add(swap_in)
+        x, obj = master.solve()
+        out = evaluate_outcomes(x, master.scenarios, master.spec)
+        kth, _ = _kth_outcome(out, k)
+    else:
+        swap_in = None
+    if kth <= VIOLATION_TOL and obj > incumbent[1] + 1e-12:
+        incumbent = (x.copy(), obj, out.violation_count, master.working_set())
+    return incumbent, swap_in
+
+
+def _polish_report(master: _Master, method, incumbent, report: SolveReport,
+                   status) -> SolveReport:
+    x, obj, viol, ws = incumbent
+    return master.report(method, obj, seed=report.seed, x=x, working_set=ws,
+                         violations=viol, status=status,
+                         extra_solves=report.lp_solves,
+                         extra_nodes=report.mip_nodes,
+                         extra_time=report.wall_time)
+
+
 def polish_resolve(report: SolveReport, scenarios, spec,
                    budget: ScenarioBudget, cfg: AsmConfig | None = None,
                    semi=None, time_limit=None) -> SolveReport:
     """ASM-2: sweep the working set; remove each row, and when the test rank
     is still violated swap that scenario in; keep certified improvements."""
     cfg = cfg or AsmConfig()
-    t0 = time.perf_counter()
-    k = budget.k_removals
     if len(report.working_set) == 0:
-        return SolveReport("asm2", report.x.copy(), report.objective,
-                           report.working_set.copy(), report.lp_solves,
-                           report.mip_nodes, report.wall_time,
-                           report.train_violations, seed=report.seed)
-    master = _polish_master(report, scenarios, spec, budget, semi)
-    incumbent = (report.x.copy(), report.objective, report.train_violations,
-                 report.working_set.copy())
+        return _unpolished(report, "asm2")
+    master, incumbent = _polish_master(report, scenarios, spec, budget, semi)
     members = list(report.working_set.scenario_indices)
     status = STATUS_OK
     for _ in range(cfg.resolved_iterations(scenarios.n_assets)):
         if status != STATUS_OK:
             break
         for s in list(members):
-            if s not in master.row_of:
+            if master.row_of[s] < 0:
                 continue
-            if _deadline_hit(t0, time_limit):
+            if master.out_of_time(time_limit):
                 status = STATUS_TIME_LIMIT
                 break
             master.remove(s)
             members.remove(s)
-            x, obj = master.solve()
-            out = evaluate_outcomes(x, scenarios, spec)
-            kth, swap_in = _kth_outcome(out, k)
-            if kth > VIOLATION_TOL and swap_in not in master.row_of:
-                master.add(swap_in)
+            incumbent, swap_in = _polish_step(master, budget.k_removals,
+                                              incumbent)
+            if swap_in is not None:
                 members.append(swap_in)
-                x, obj = master.solve()
-                out = evaluate_outcomes(x, scenarios, spec)
-                kth, _ = _kth_outcome(out, k)
-            if kth <= VIOLATION_TOL and obj > incumbent[1] + 1e-12:
-                incumbent = (x.copy(), obj, out.violation_count,
-                             master.working_set())
-    x, obj, viol, ws = incumbent
-    return master.report("asm2", obj, seed=report.seed, x=x, working_set=ws,
-                         violations=viol, status=status,
-                         extra_solves=report.lp_solves,
-                         extra_nodes=report.mip_nodes,
-                         extra_time=report.wall_time)
+    return _polish_report(master, "asm2", incumbent, report, status)
 
 
 def polish_dual(report: SolveReport, scenarios, spec,
@@ -478,46 +495,24 @@ def polish_dual(report: SolveReport, scenarios, spec,
     """ASM-3: like the sweep polish, but each iteration removes only the row
     whose dual value promises the largest instantaneous improvement."""
     cfg = cfg or AsmConfig()
-    t0 = time.perf_counter()
-    k = budget.k_removals
     if len(report.working_set) == 0:
-        return SolveReport("asm3", report.x.copy(), report.objective,
-                           report.working_set.copy(), report.lp_solves,
-                           report.mip_nodes, report.wall_time,
-                           report.train_violations, seed=report.seed)
-    master = _polish_master(report, scenarios, spec, budget, semi=None)
+        return _unpolished(report, "asm3")
+    master, incumbent = _polish_master(report, scenarios, spec, budget, None)
     master.solve()          # establish dual values for the working set
-    incumbent = (report.x.copy(), report.objective, report.train_violations,
-                 report.working_set.copy())
     status = STATUS_OK
     for _ in range(cfg.resolved_iterations(scenarios.n_assets)):
-        if not master.row_of:
+        idx, pis = master.duals()
+        if not idx.size:
             break
-        if _deadline_hit(t0, time_limit):
+        if master.out_of_time(time_limit):
             status = STATUS_TIME_LIMIT
             break
-        pis = master.duals()
-        pick = max(pis, key=lambda i: (abs(pis[i]), -i))
-        if abs(pis[pick]) <= 1e-12:
+        pick, rate = _largest_dual(idx, pis)
+        if rate <= 1e-12:
             break               # no removal can move the objective
         master.remove(pick)
-        x, obj = master.solve()
-        out = evaluate_outcomes(x, scenarios, spec)
-        kth, swap_in = _kth_outcome(out, k)
-        if kth > VIOLATION_TOL and swap_in not in master.row_of:
-            master.add(swap_in)
-            x, obj = master.solve()
-            out = evaluate_outcomes(x, scenarios, spec)
-            kth, _ = _kth_outcome(out, k)
-        if kth <= VIOLATION_TOL and obj > incumbent[1] + 1e-12:
-            incumbent = (x.copy(), obj, out.violation_count,
-                         master.working_set())
-    x, obj, viol, ws = incumbent
-    return master.report("asm3", obj, seed=report.seed, x=x, working_set=ws,
-                         violations=viol, status=status,
-                         extra_solves=report.lp_solves,
-                         extra_nodes=report.mip_nodes,
-                         extra_time=report.wall_time)
+        incumbent, _ = _polish_step(master, budget.k_removals, incumbent)
+    return _polish_report(master, "asm3", incumbent, report, status)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ rows ``a . x (<=|>=|=) b``.  Row duals are shadow prices dObj/dRHS, so
 ``<=`` rows carry duals >= 0 and ``>=`` rows duals <= 0 at an optimum.
 """
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +27,8 @@ LE, GE, EQ = 0, 1, 2
 _REL_CODES = {"<=": LE, "<": LE, ">=": GE, ">": GE, "=": EQ, "==": EQ,
               LE: LE, GE: GE, EQ: EQ}
 _REL_TEXT = {LE: "<=", GE: ">=", EQ: "="}
+# slack s = rhs - a.x must lie in these limits for each relation
+_SLACK_LIMS = {LE: (0.0, np.inf), GE: (-np.inf, 0.0), EQ: (0.0, 0.0)}
 
 # Variable / slack status markers
 BASIC, AT_LOWER, AT_UPPER, NB_FREE = 0, 1, 2, 3
@@ -39,6 +42,8 @@ TOL_PIVOT = 1e-10
 _TIE = 1e-12
 _BLAND_AFTER = 100       # consecutive degenerate steps before Bland's rule
 _MAX_PIVOTS = 200_000
+
+log = logging.getLogger("ccsaa")
 
 
 class _KernelSingular(Exception):
@@ -65,9 +70,14 @@ class Basis:
 
 @dataclass
 class SolveStats:
+    """Work and silent recoveries, summed over a model's solves."""
+
     solves: int = 0
     pivots: int = 0
     seconds: float = 0.0
+    cold_resets: int = 0        # singular kernel -> cold restart
+    detach_failures: int = 0    # row release failed -> next solve starts cold
+    bland_switches: int = 0     # degenerate stall -> Bland's rule
 
 
 @dataclass
@@ -123,6 +133,7 @@ class LpModel:
         self._A = np.zeros((cap, n))
         self._rhs = np.zeros(cap)
         self._rel = np.zeros(cap, dtype=np.int8)
+        self._slo, self._shi = np.zeros(cap), np.zeros(cap)   # fixed by _rel
         self._alive = np.zeros(cap, dtype=bool)
         self._labels: list = [None] * cap
         self._label_set: set = set()
@@ -171,6 +182,7 @@ class LpModel:
         self._A[slot] = a
         self._rhs[slot] = rhs
         self._rel[slot] = code
+        self._slo[slot], self._shi[slot] = _SLACK_LIMS[code]
         self._alive[slot] = True
         self._labels[slot] = label
         self._label_set.add(label)
@@ -204,6 +216,7 @@ class LpModel:
         self._A[first:need] = A
         self._rhs[first:need] = b
         self._rel[first:need] = code
+        self._slo[first:need], self._shi[first:need] = _SLACK_LIMS[code]
         self._alive[first:need] = True
         self._n_slots = need
         if self._engine is not None:
@@ -234,11 +247,6 @@ class LpModel:
         self._engine = None
         return list(range(first, self.n_cols))
 
-    def set_coefficient(self, row_id, col, value) -> None:
-        self._check_row(row_id)
-        self._A[row_id, col] = value
-        self._engine = None
-
     def set_bounds(self, col, lower, upper) -> None:
         if lower > upper:
             raise ValueError("lower bound exceeds upper bound")
@@ -253,6 +261,8 @@ class LpModel:
         self._A = np.vstack([self._A, np.zeros((grow, n))])
         self._rhs = np.concatenate([self._rhs, np.zeros(grow)])
         self._rel = np.concatenate([self._rel, np.zeros(grow, dtype=np.int8)])
+        self._slo = np.concatenate([self._slo, np.zeros(grow)])
+        self._shi = np.concatenate([self._shi, np.zeros(grow)])
         self._alive = np.concatenate([self._alive, np.zeros(grow, dtype=bool)])
         self._labels.extend([None] * grow)
 
@@ -288,6 +298,7 @@ class _Engine:
         self.T: list = []           # basic structural columns
         self.x = np.zeros(n)
         self._s = None              # cached slack values over all slots
+        self._K = self._K_sets = None   # cached kernel A[S, T], and its (S, T)
         self.valid = False
 
     # -- construction / loading ---------------------------------------
@@ -322,8 +333,13 @@ class _Engine:
         try:
             self._recompute_x()
         except _KernelSingular:
-            self.cold_reset()
+            self._recover_cold("loading a basis")
         self.valid = True
+
+    def _recover_cold(self, during):
+        self.m.stats.cold_resets += 1
+        log.debug("singular kernel while %s: cold reset", during)
+        self.cold_reset()
 
     def _nb_slack_status(self, slot):
         return AT_UPPER if self.m._rel[slot] == GE else AT_LOWER
@@ -395,9 +411,11 @@ class _Engine:
                 if outcome is not None:
                     self._s = None
                     return
-            self.valid = False
         except (_KernelSingular, np.linalg.LinAlgError):
-            self.valid = False
+            pass
+        self.valid = False
+        self.m.stats.detach_failures += 1
+        log.debug("releasing row %d failed: the next solve starts cold", slot)
 
     def bounds_changed(self, col):
         if not self.valid:
@@ -416,26 +434,23 @@ class _Engine:
 
     # -- kernel algebra -------------------------------------------------
     def _kernel(self):
-        return self.m._A[np.ix_(self.S, self.T)]
+        # rows are never edited once added, so A[S, T] changes only with S, T
+        sets = (tuple(self.S), tuple(self.T))
+        if sets != self._K_sets:
+            self._K, self._K_sets = self.m._A[np.ix_(self.S, self.T)], sets
+        return self._K
 
-    def _ksolve(self, rhs):
+    def _ksolve(self, rhs, transpose=False):
         if not self.T:
             return np.zeros(0)
+        K = self._kernel()
         try:
-            return np.linalg.solve(self._kernel(), rhs)
-        except np.linalg.LinAlgError:
-            raise _KernelSingular from None
-
-    def _ksolve_t(self, rhs):
-        if not self.T:
-            return np.zeros(0)
-        try:
-            return np.linalg.solve(self._kernel().T, rhs)
+            return np.linalg.solve(K.T if transpose else K, rhs)
         except np.linalg.LinAlgError:
             raise _KernelSingular from None
 
     def _duals_kernel(self, c):
-        return self._ksolve_t(c[self.T])
+        return self._ksolve(c[self.T], transpose=True)
 
     def _set_nonbasic_values(self):
         m = self.m
@@ -464,10 +479,8 @@ class _Engine:
         return self._s
 
     def _slack_lims(self):
-        rel = self.m._rel[: self.m._n_slots]
-        lo = np.where(rel == GE, -np.inf, 0.0)
-        hi = np.where(rel == LE, np.inf, 0.0)
-        return lo, hi
+        ns = self.m._n_slots
+        return self.m._slo[:ns], self.m._shi[:ns]
 
     # -- pricing ---------------------------------------------------------
     def _nonbasic_candidates(self):
@@ -638,9 +651,14 @@ class _Engine:
             if theta is None:
                 return UNBOUNDED
             stall = stall + 1 if theta <= _TIE else 0
-            if stall > _BLAND_AFTER:
-                bland = True
+            if stall > _BLAND_AFTER and not bland:
+                bland = self._switch_to_bland("primal")
         raise NumericalFailure("primal simplex exceeded the pivot cap")
+
+    def _switch_to_bland(self, phase):
+        self.m.stats.bland_switches += 1
+        log.debug("%s simplex stalled: switching to Bland's rule", phase)
+        return True
 
     # -- dual simplex -------------------------------------------------------
     def dual(self, c):
@@ -683,18 +701,18 @@ class _Engine:
                 total += max(m.lb[p] - self.x[p], 0.0) + max(self.x[p] - m.ub[p], 0.0)
             stall = stall + 1 if total >= last_total - _TIE else 0
             last_total = total
-            if stall > _BLAND_AFTER:
-                bland = True
+            if stall > _BLAND_AFTER and not bland:
+                bland = self._switch_to_bland("dual")
 
             # pivot row of the leaving variable over nonbasic candidates
             t = len(self.T)
             if lkind == "slack":
-                w = self._ksolve_t(m._A[lref, self.T]) if t else np.zeros(0)
+                w = self._ksolve(m._A[lref, self.T], transpose=True)
                 base = m._A[lref]
             else:
                 e = np.zeros(t)
                 e[self.T.index(lref)] = 1.0
-                w = self._ksolve_t(e)
+                w = self._ksolve(e, transpose=True)
                 base = None
 
             cols, slacks = self._nonbasic_candidates()
@@ -802,7 +820,7 @@ class _Engine:
                     return OPTIMAL
                 # drifted out of feasibility: run the repair loop again
             except _KernelSingular:
-                self.cold_reset()
+                self._recover_cold("optimizing")
         raise NumericalFailure("could not stabilize the basis")
 
     # -- reporting ----------------------------------------------------------

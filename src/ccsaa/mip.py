@@ -144,8 +144,7 @@ def apply_semicontinuous(model: MipModel, spec: SemiContinuousSpec,
 def _fractional(x, binaries):
     worst, pick = _INTEGRALITY_TOL, -1
     for j in binaries:
-        f = min(x[j] - np.floor(x[j]), np.ceil(x[j]) - x[j])
-        f = min(abs(x[j] - 0.0), abs(x[j] - 1.0), f)
+        f = min(abs(x[j]), abs(x[j] - 1.0))
         if f > worst:
             worst, pick = f, j
     return pick

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import lp
 from .certificate import ScenarioBudget
-from .reports import WorkingSet
 
 BUDGET_LABEL = "budget"
 
@@ -177,7 +176,3 @@ def certify(x: np.ndarray, scenarios: ScenarioSet, budget: ScenarioBudget,
             spec: ChanceProgramSpec) -> bool:
     """True iff x violates at most ``budget.k_removals`` training scenarios."""
     return evaluate_outcomes(x, scenarios, spec).violation_count <= budget.k_removals
-
-
-def new_working_set() -> WorkingSet:
-    return WorkingSet([], {})

@@ -1,14 +1,19 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
+from ccsaa import cli, heuristics
+from ccsaa.certificate import max_removals
 from ccsaa.cli import (ExperimentConfig, RAW_COLUMNS, aggregate, main,
                        run_experiment, sweep_w, validate_solution)
 from ccsaa.data import Instance, write_instance
-from ccsaa.gaussian import GaussianModel
-from ccsaa.mip import SemiContinuousSpec
+from ccsaa.gaussian import GaussianModel, sample_scenarios
+from ccsaa.heuristics import run_method
+from ccsaa.mip import SemiContinuousSpec, build_saa_bigm, mip_solve
+from ccsaa.saa import evaluate_outcomes
 
 
 def small_instance(n_risky=3, seed=0, alpha=0.96):
@@ -122,6 +127,49 @@ class TestRunExperiment:
         by = {a["method"]: a for a in aggs}
         assert by["exact-mip"]["objective_mean"] >= by["asm1"]["objective_mean"] - 1e-6
 
+    def test_one_test_set_per_trial(self, monkeypatch):
+        inst = small_instance(seed=8)
+        config = ExperimentConfig(instance=inst,
+                                  methods=["asm1", "rap", "fgrp"],
+                                  n_grid=[150], trials=2, base_seed=19,
+                                  test_set_size=3000)
+        draws = []
+        sample = cli.sample_scenarios
+
+        def counted(model, n, seed):
+            draws.append((n, seed))
+            return sample(model, n, seed)
+
+        monkeypatch.setattr(cli, "sample_scenarios", counted)
+        rows, _ = run_experiment(config)
+        assert sorted(draws) == sorted(
+            [(150, cli.scenario_seed(19, t)) for t in range(2)]
+            + [(3000, cli.test_seed(19, t)) for t in range(2)])
+        monkeypatch.undo()
+        budget = max_removals(150, inst.risk_spec)
+        for r in rows:
+            sc = sample_scenarios(inst.model, 150, r.seed)
+            rep = run_method(r.method, sc, inst.program_spec, budget, seed=r.seed)
+            assert rep.objective == r.objective
+            direct = validate_solution(rep.x, inst, 3000, cli.test_seed(19, r.trial))
+            assert (r.test_violation_rate, r.binomial_upper_limit) == direct
+
+    def test_over_limit_flag_counts_the_whole_method(self, monkeypatch):
+        # the master LP takes milliseconds; the slowed evaluation does not
+        evaluate = heuristics.evaluate_outcomes
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "evaluate_outcomes", slow)
+        inst = small_instance(seed=3)
+        budget = max_removals(100, inst.risk_spec)
+        rows = cli._trial_worker((inst, ["full"], 100, budget, 0, 5, 0.2, 1000,
+                                  0.5, None, False))
+        assert rows[0].wall_time > 0.3
+        assert rows[0].status == "time_limit"
+
     def test_config_validation(self):
         from ccsaa.errors import ConfigError
         inst = small_instance()
@@ -219,6 +267,45 @@ class TestCommandLine:
         rate2, _ = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         k = json.loads(report_path.read_text())["k"]
         assert float(rate2) * 300 <= k + 1e-9
+
+    def test_solve_exact_mip_reports_its_work(self, tmp_path, capsys):
+        inst = small_instance(seed=6)
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, inst)
+        report_path = tmp_path / "report.json"
+        t0 = time.perf_counter()
+        rc = main(["solve", "--instance", str(inst_path), "--method",
+                   "exact-mip", "--n-scenarios", "200", "--seed", "3",
+                   "--out", str(report_path)])
+        elapsed = time.perf_counter() - t0
+        assert rc == 0
+        payload = json.loads(report_path.read_text())
+        sc = sample_scenarios(inst.model, 200, 3)
+        k = max_removals(200, inst.risk_spec).k_removals
+        res = mip_solve(build_saa_bigm(sc, inst.alpha, k, inst.model.mean))
+        violations = evaluate_outcomes(res.x[: inst.n_assets], sc,
+                                       inst.program_spec).violation_count
+        assert payload["status"] == "ok"
+        assert payload["objective"] == pytest.approx(res.objective_value, abs=1e-12)
+        assert (payload["lp_solves"], payload["mip_nodes"]) == (res.lp_solves,
+                                                                res.node_count)
+        assert payload["train_violations"] == violations <= k
+        assert 0.0 < payload["wall_time"] < elapsed
+        out = capsys.readouterr().out
+        assert f"solves={res.lp_solves} " in out
+        assert f"train_violations={violations} " in out
+
+    def test_solve_exact_mip_infeasible_exit_code(self, tmp_path, capsys):
+        # no cash column and a floor far above every return: no k rows can go
+        inst = small_instance(seed=6)
+        inst = Instance(inst.names, inst.model, alpha=3.0, epsilon=0.05,
+                        beta=0.2, cash_index=None)
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, inst)
+        rc = main(["solve", "--instance", str(inst_path), "--method",
+                   "exact-mip", "--n-scenarios", "150", "--seed", "3"])
+        assert rc == 4
+        assert "infeasible" in capsys.readouterr().err
 
     def test_ingest(self, tmp_path, capsys):
         prices = tmp_path / "prices.csv"

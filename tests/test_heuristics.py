@@ -1,13 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 
-from ccsaa.certificate import ScenarioBudget
+from ccsaa import lp
+from ccsaa.certificate import ScenarioBudget, max_removals
+from ccsaa.data import default_instance
 from ccsaa.errors import UnsupportedForMip
 from ccsaa.gaussian import GaussianModel, sample_scenarios
-from ccsaa.heuristics import (AsmConfig, active_set, dual_greedy_removal,
-                              greedy_removal, pool_and_discard, polish_dual,
-                              polish_resolve, random_removal, run_method,
-                              solve_full)
+from ccsaa.heuristics import (AsmConfig, _largest_dual, active_set,
+                              dual_greedy_removal, greedy_removal,
+                              pool_and_discard, polish_dual, polish_resolve,
+                              random_removal, run_method, solve_full)
 from ccsaa.lp import lp_solve
 from ccsaa.mip import SemiContinuousSpec, build_saa_bigm, mip_solve
 from ccsaa.saa import (ChanceProgramSpec, ScenarioSet, build_saa_lp, certify,
@@ -348,3 +352,81 @@ class TestRunMethod:
         for name in ("fgrp", "fpnd", "asm3"):
             with pytest.raises(UnsupportedForMip):
                 run_method(name, sc, spec, budget, seed=3, semi=band)
+
+
+class TestTieRules:
+    def test_largest_dual_prefers_smallest_index(self):
+        scenarios = np.array([2, 5, 9, 14])
+        assert _largest_dual(scenarios, np.array([-0.5, 2.0, -2.0, 2.0])) == (5, 2.0)
+        assert _largest_dual(scenarios, np.array([-3.0, 1.0, 3.0, -3.0])) == (2, 3.0)
+        assert _largest_dual(scenarios, np.zeros(4)) == (2, 0.0)
+
+    def test_fallback_drops_smallest_slack(self):
+        # alpha far below every return: nothing is binding, so the round
+        # takes the fallback, and of the two equal slacks the smaller index
+        # goes
+        returns = np.array([[1.0, 1.3], [1.0, 1.2], [1.0, 1.2], [1.0, 1.25]])
+        sc = ScenarioSet(returns)
+        spec = ChanceProgramSpec(0.5, [1.0, 1.1], cash_index=0)
+        for name in ("grp", "rap", "fgrp"):
+            rep = run_method(name, sc, spec, ScenarioBudget(4, 1, 1e-6), seed=1)
+            assert rep.working_set.scenario_indices == [0, 2, 3], name
+
+
+class TestGoldenDraw:
+    """Outputs on one default-instance draw, recorded before the master's
+    row map moved from a dict to an array; any change in the tie rules or
+    the arithmetic shows here.  Removal methods list the discarded rows."""
+
+    N, SEED = 2000, 11
+    GOLDEN = {
+        "grp": ("1.1465458218358184", 33, 14,
+                [47, 107, 193, 679, 716, 727, 934, 1051, 1460, 1514, 1654,
+                 1686, 1795, 1959]),
+        "fgrp": ("1.1464974905260494", 15, 14,
+                 [39, 47, 107, 193, 679, 716, 727, 934, 1051, 1460, 1514,
+                  1686, 1795, 1959]),
+        "rap": ("1.146254813564915", 15, 13,
+                [47, 107, 193, 207, 679, 716, 934, 1051, 1460, 1514, 1635,
+                 1686, 1795, 1959]),
+        "fpnd": ("1.145846592262205", 5, 5, [679, 1686]),
+        "asm3": ("1.1465458218358184", 54, 14,
+                 [207, 735, 781, 798, 810, 1537, 1582, 1635, 1664, 1724]),
+    }
+
+    def test_methods_reproduce_recorded_outputs(self):
+        inst = default_instance()
+        budget = max_removals(self.N, inst.risk_spec)
+        assert budget.k_removals == 14
+        sc = sample_scenarios(inst.model, self.N, self.SEED)
+        for name, (obj, solves, violations, rows) in self.GOLDEN.items():
+            rep = run_method(name, sc, inst.program_spec, budget, seed=self.SEED)
+            kept = sorted(rep.working_set.scenario_indices)
+            if name in ("grp", "fgrp", "rap"):
+                kept = sorted(set(range(self.N)) - set(kept))
+            assert (repr(rep.objective), rep.lp_solves, rep.train_violations,
+                    kept) == (obj, solves, violations, rows), name
+
+
+class TestWallTime:
+    def test_between_lp_time_and_elapsed(self, monkeypatch):
+        spent = []
+        solve = lp.lp_solve
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(lp, "lp_solve", timed)
+        sc, spec, _ = make_instance(28, n_scen=300)
+        budget = ScenarioBudget(300, 6, 1e-6)
+        for name in ("grp", "fgrp", "pnd", "asm1", "asm2", "asm3"):
+            spent.clear()
+            t0 = time.perf_counter()
+            rep = run_method(name, sc, spec, budget, seed=3)
+            elapsed = time.perf_counter() - t0
+            assert len(spent) == rep.lp_solves, name
+            assert sum(spent) <= rep.wall_time <= elapsed, name

@@ -256,3 +256,47 @@ class TestBasisInvariant:
         m = build(c, A, rels, rhs, lb, ub)
         sol = lp_solve(m)
         assert sol.basis.n_basic == m.n_rows
+
+
+class TestRecoveryCounters:
+    """Each silent recovery is counted on the model's stats and logged."""
+
+    def test_singular_warm_basis_cold_resets(self, caplog):
+        m = LpModel([1.0, 1.0], upper=[1.0, 1.0])
+        m.add_row([1.0, 1.0], "<=", 1.5)
+        m.add_row([1.0, 1.0], "<=", 1.5)
+        # both basic columns against two identical tight rows: singular
+        basis = lp.Basis(np.array([lp.BASIC, lp.BASIC], dtype=np.int8),
+                         np.array([0, 1]),
+                         np.array([lp.AT_LOWER, lp.AT_LOWER], dtype=np.int8))
+        with caplog.at_level("DEBUG", logger="ccsaa"):
+            sol = lp_solve(m, warm=basis)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.5, abs=1e-12)
+        assert m.stats.cold_resets == 1
+        assert (m.stats.detach_failures, m.stats.bland_switches) == (0, 0)
+        assert "cold reset" in caplog.text
+
+    def test_unbounded_release_is_a_detach_failure(self, caplog):
+        m = LpModel([1.0])
+        rid = m.add_row([1.0], "<=", 1.0)
+        assert lp_solve(m).status == lp.OPTIMAL
+        with caplog.at_level("DEBUG", logger="ccsaa"):
+            m.remove_row(rid)
+        assert m.stats.detach_failures == 1
+        assert "releasing row 0 failed" in caplog.text
+        assert lp_solve(m).status == lp.UNBOUNDED
+        assert (m.stats.cold_resets, m.stats.bland_switches) == (0, 0)
+
+    def test_degenerate_stall_switches_to_bland(self, monkeypatch, caplog):
+        # from the origin, x0 entering is blocked at once by x0 - x1 <= 0
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+        m = LpModel([1.0, 1.0])
+        m.add_row([1.0, -1.0], "<=", 0.0)
+        m.add_row([1.0, 1.0], "<=", 2.0)
+        with caplog.at_level("DEBUG", logger="ccsaa"):
+            sol = lp_solve(m)
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
+        assert m.stats.bland_switches == 1
+        assert "Bland" in caplog.text
+        assert (m.stats.cold_resets, m.stats.detach_failures) == (0, 0)
