@@ -125,15 +125,21 @@ def _violation_rate(x, instance: Instance, test: ScenarioSet, beta=None):
     return rate, upper
 
 
+def _solve_socp(instance, scenarios, eps, semi):
+    """The Gaussian baseline, its training violations counted."""
+    rep = solve_gaussian_exact(instance.model, instance.alpha, eps, semi=semi,
+                               cash_index=instance.cash_index)
+    return replace(rep, train_violations=evaluate_outcomes(
+        rep.x, scenarios, instance.program_spec).violation_count)
+
+
 def _run_one_method(method, instance, scenarios, budget, cfg, seed,
                     semi, time_limit):
     """Dispatch including the exact baselines the heuristics module omits."""
     if method == "socp":
         eps = budget.discard_fraction if budget.k_removals > 0 else instance.epsilon
         # at k = 0 fall back to the instance risk level rather than eps = 0
-        return solve_gaussian_exact(instance.model, instance.alpha,
-                                    max(eps, 1e-9), semi=semi,
-                                    cash_index=instance.cash_index)
+        return _solve_socp(instance, scenarios, max(eps, 1e-9), semi)
     if method == "exact-mip":
         t0 = time.perf_counter()
         model = build_saa_bigm(scenarios, instance.alpha, budget.k_removals,
@@ -445,8 +451,7 @@ def _cmd_solve(args):
     cfg = AsmConfig(w=args.w, polish_iterations=args.polish_a)
     semi = inst.semicontinuous if args.semicontinuous else None
     if args.method == "socp" and args.epsilon is not None:
-        rep = solve_gaussian_exact(inst.model, inst.alpha, args.epsilon,
-                                   semi=semi, cash_index=inst.cash_index)
+        rep = _solve_socp(inst, scenarios, args.epsilon, semi)
     else:
         rep = _run_one_method(args.method, inst, scenarios, budget, cfg,
                               args.seed, semi, args.time_limit)

@@ -33,6 +33,7 @@ from .saa import ScenarioSet
 
 _CUT_TOL = 1e-8
 _MAX_CUTS = 1000
+_SAMPLE_BLOCK = 8192            # rows per block when sampling scenarios
 
 
 def cholesky(cov, tol: float = 1e-12) -> np.ndarray:
@@ -111,8 +112,15 @@ def sample_scenarios(model: GaussianModel, count: int, seed) -> ScenarioSet:
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
+    t = np.empty((count, model.n_assets))
     z = rng.standard_normal((count, model.n_assets))
-    rows = model.mean + z @ model.chol.T
+    np.matmul(z, model.chol.T, out=t)
+    # z's buffer, read as n x count, takes mean + t column-major.  t comes
+    # first so that freeing it leaves a reusable hole below z: freed at the
+    # heap's top, the allocator would return it and fault it in every call.
+    rows = z.reshape(model.n_assets, count).T
+    for i in range(0, count, _SAMPLE_BLOCK):
+        np.add(t[i:i + _SAMPLE_BLOCK], model.mean, out=rows[i:i + _SAMPLE_BLOCK])
     return ScenarioSet(rows, provenance=f"sampled(seed={seed})")
 
 

@@ -34,8 +34,7 @@ from .errors import CapExceeded, ConfigError, InfeasibleModel, UnsupportedForMip
 from .mip import MipModel, SemiContinuousSpec, apply_semicontinuous, mip_solve
 from .reports import (STATUS_CAP, STATUS_OK, STATUS_TIME_LIMIT, SolveReport,
                       WorkingSet)
-from .saa import (VIOLATION_TOL, ChanceProgramSpec, ScenarioSet,
-                  evaluate_outcomes)
+from .saa import ChanceProgramSpec, ScenarioSet, evaluate_outcomes
 
 BINDING_TOL_LP = 1e-7
 BINDING_TOL_MIP = 1e-1      # integer masters detect binding rows loosely
@@ -71,9 +70,10 @@ class _Master:
     """Working model over a subset of scenario rows, LP or integer.
 
     ``row_of[i]`` is the model row enforcing scenario i, or -1 when the
-    scenario is not enforced; every view of the enforced set lists scenarios
-    in ascending index order.  ``started`` is the method's clock: deadlines
-    and the reported wall time run from the master's construction.
+    scenario is not enforced; ``enforced`` lists the enforced scenarios in
+    ascending index order, at O(1) per edit and O(|W|) per view.
+    ``started`` is the method's clock: deadlines and the reported wall time
+    run from the master's construction.
     """
 
     def __init__(self, scenarios: ScenarioSet, spec: ChanceProgramSpec,
@@ -86,6 +86,8 @@ class _Master:
         self.model = saa.build_saa_lp(scenarios, spec, subset=subset)
         self.row_of = np.full(scenarios.n_scenarios, -1, dtype=np.int64)
         self.row_of[subset] = np.arange(1, subset.size + 1)
+        self._listed = np.flatnonzero(self.row_of >= 0)   # may list removed
+        self._pending = set()       # added scenarios not yet listed
         self.mip = None
         if semi is not None:
             if spec.cash_index is None:
@@ -134,19 +136,29 @@ class _Master:
     def add(self, i: int):
         self.row_of[i] = saa.add_scenario_row(self.model, self.scenarios,
                                               self.spec, i)
+        p = np.searchsorted(self._listed, i)
+        if p == self._listed.size or self._listed[p] != i:
+            self._pending.add(i)
 
     def remove(self, i: int):
         self.model.remove_row(int(self.row_of[i]))
         self.row_of[i] = -1
 
+    @property
     def enforced(self) -> np.ndarray:
-        """Enforced scenario indices, ascending."""
-        return np.flatnonzero(self.row_of >= 0)
+        """Enforced scenarios, ascending: the edits since the last view folded in."""
+        e = self._listed
+        if self._pending:
+            new = np.array(sorted(self._pending), dtype=np.int64)
+            e = np.insert(e, np.searchsorted(e, new), new)
+            self._pending.clear()
+        self._listed = e[self.row_of[e] >= 0]
+        return self._listed
 
     # -- state at the last solution --------------------------------------
     def enforced_slack(self):
         """Enforced scenarios and their r_i . x - alpha at the last solution."""
-        idx = self.enforced()
+        idx = self.enforced
         return idx, self.scenarios.returns[idx] @ self.x - self.spec.alpha
 
     def binding(self) -> list:
@@ -165,11 +177,11 @@ class _Master:
         if self.is_mip or self._sol is None:
             raise UnsupportedForMip(
                 "dual values are not available from an integer master")
-        idx = self.enforced()
+        idx = self.enforced
         return idx, self._sol.duals_for(self.row_of[idx])
 
     def working_set(self, indices=None) -> WorkingSet:
-        idx = self.enforced() if indices is None else np.asarray(indices, np.int64)
+        idx = self.enforced if indices is None else np.asarray(indices, np.int64)
         members = idx.tolist()
         return WorkingSet(members, dict(zip(members, self.row_of[idx].tolist())))
 
@@ -308,7 +320,7 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
         if master.out_of_time(time_limit):
             return master.report(method, obj, seed=seed,
                                  status=STATUS_TIME_LIMIT)
-        master.add(int(out.ranked[0]))
+        master.add(out.kth_ranked(1)[1])
         x, obj = master.solve()
         out = evaluate_outcomes(x, scenarios, spec)
 
@@ -425,27 +437,22 @@ def _polish_master(report: SolveReport, scenarios, spec, budget, semi):
                     report.working_set.copy())
 
 
-def _kth_outcome(out, k: int):
-    """Value and scenario of the test rank: the k-th largest outcome overall
-    (the largest when k = 0, where any violation is already too many)."""
-    return out.kth_ranked(max(k, 1))
-
-
 def _polish_step(master: _Master, k: int, incumbent):
     """Re-solve after a removal; while the test rank is violated, swap that
     scenario in and re-solve once more.  Returns the incumbent, replaced when
     the point is certified and better, and the scenario swapped in or None."""
+    test = max(k, 1)    # the test rank; at k = 0 any violation is too many
     x, obj = master.solve()
     out = evaluate_outcomes(x, master.scenarios, master.spec)
-    kth, swap_in = _kth_outcome(out, k)
-    if kth > VIOLATION_TOL and master.row_of[swap_in] < 0:
-        master.add(swap_in)
-        x, obj = master.solve()
-        out = evaluate_outcomes(x, master.scenarios, master.spec)
-        kth, _ = _kth_outcome(out, k)
-    else:
-        swap_in = None
-    if kth <= VIOLATION_TOL and obj > incumbent[1] + 1e-12:
+    swap_in = None
+    if out.violation_count >= test:
+        _, scenario = out.kth_ranked(test)
+        if master.row_of[scenario] < 0:
+            swap_in = scenario
+            master.add(swap_in)
+            x, obj = master.solve()
+            out = evaluate_outcomes(x, master.scenarios, master.spec)
+    if out.violation_count < test and obj > incumbent[1] + 1e-12:
         incumbent = (x.copy(), obj, out.violation_count, master.working_set())
     return incumbent, swap_in
 

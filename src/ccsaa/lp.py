@@ -78,6 +78,7 @@ class SolveStats:
     cold_resets: int = 0        # singular kernel -> cold restart
     detach_failures: int = 0    # row release failed -> next solve starts cold
     bland_switches: int = 0     # degenerate stall -> Bland's rule
+    repairs: int = 0            # optimum drifted out of feasibility -> re-run
 
 
 @dataclass
@@ -816,9 +817,11 @@ class _Engine:
                 r = self.primal(c)
                 if r == UNBOUNDED:
                     return UNBOUNDED
-                if self._primal_infeasibility() <= 1e-7:
+                drift = self._primal_infeasibility()
+                if drift <= 1e-7:
                     return OPTIMAL
-                # drifted out of feasibility: run the repair loop again
+                self.m.stats.repairs += 1
+                log.debug("drifted out of feasibility by %.3g: repairing", drift)
             except _KernelSingular:
                 self._recover_cold("optimizing")
         raise NumericalFailure("could not stabilize the basis")

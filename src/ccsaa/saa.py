@@ -23,7 +23,8 @@ VIOLATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """An N x n matrix of sampled returns, one row per scenario."""
+    """An N x n matrix of sampled returns, one row per scenario, stored
+    column-major so that ``returns @ x`` streams n long columns."""
 
     returns: np.ndarray
     provenance: str = "unknown"
@@ -34,7 +35,7 @@ class ScenarioSet:
             raise ValueError("returns must be a non-empty N x n matrix")
         if not np.all(np.isfinite(r)):
             raise ValueError("returns must be finite")
-        r = np.ascontiguousarray(r)
+        r = np.asfortranarray(r)
         r.setflags(write=False)
         object.__setattr__(self, "returns", r)
 
@@ -87,40 +88,58 @@ class OutcomeVector:
 
     def __init__(self, values: np.ndarray):
         self.values = values
+        self._violated = None
         self._ranked = None
         self._ranked_all = None
 
     @property
+    def violated(self) -> np.ndarray:
+        """Violated scenario indices, ascending."""
+        if self._violated is None:
+            self._violated = np.flatnonzero(self.values > VIOLATION_TOL)
+        return self._violated
+
+    @property
     def violation_count(self) -> int:
-        return int(np.count_nonzero(self.values > VIOLATION_TOL))
+        return int(self.violated.size)
 
     @property
     def ranked(self) -> np.ndarray:
         if self._ranked is None:
-            idx = np.flatnonzero(self.values > VIOLATION_TOL)
-            order = np.argsort(-self.values[idx], kind="stable")
-            self._ranked = idx[order]
+            idx = self.violated
+            self._ranked = idx[_descending(self.values[idx])]
         return self._ranked
 
     @property
     def ranked_all(self) -> np.ndarray:
         if self._ranked_all is None:
-            self._ranked_all = np.argsort(-self.values, kind="stable")
+            self._ranked_all = _descending(self.values)
         return self._ranked_all
 
     def kth_ranked(self, rank: int):
         """(value, scenario) at a 1-based rank of the descending ordering.
 
         Same ordering as ``ranked_all`` (ties by ascending scenario index)
-        but O(N) via partitioning instead of a full sort.
+        but by partitioning: only the violated scenarios, when they reach
+        the rank, else all N.
         """
-        v = self.values
-        if not 1 <= rank <= v.size:
-            raise ValueError(f"rank {rank} out of range 1..{v.size}")
+        if not 1 <= rank <= self.values.size:
+            raise ValueError(f"rank {rank} out of range 1..{self.values.size}")
+        idx = (self.violated if rank <= self.violation_count
+               else np.arange(self.values.size))
+        v = self.values[idx]
         val = -np.partition(-v, rank - 1)[rank - 1]
         greater = int(np.count_nonzero(v > val))
-        ties = np.flatnonzero(v == val)
-        return float(val), int(ties[rank - greater - 1])
+        return float(val), int(idx[np.flatnonzero(v == val)[rank - greater - 1]])
+
+
+def _descending(keys: np.ndarray) -> np.ndarray:
+    """Positions of ``keys`` by descending value, then ascending position:
+    the fast unstable sort, redone stably only when equal keys occur."""
+    order = np.argsort(-keys)
+    if np.any(np.diff(keys[order]) == 0):
+        return np.argsort(-keys, kind="stable")
+    return order
 
 
 def scenario_row(scenarios: ScenarioSet, spec: ChanceProgramSpec, index: int):
@@ -169,7 +188,8 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
     x = np.asarray(x, dtype=float)
     if x.shape != (scenarios.n_assets,):
         raise ValueError(f"x has dimension {x.shape}, expected ({scenarios.n_assets},)")
-    return OutcomeVector(spec.alpha - scenarios.returns @ x)
+    values = scenarios.returns @ x
+    return OutcomeVector(np.subtract(spec.alpha, values, out=values))
 
 
 def certify(x: np.ndarray, scenarios: ScenarioSet, budget: ScenarioBudget,

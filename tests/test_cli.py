@@ -127,6 +127,15 @@ class TestRunExperiment:
         by = {a["method"]: a for a in aggs}
         assert by["exact-mip"]["objective_mean"] >= by["asm1"]["objective_mean"] - 1e-6
 
+    def test_socp_counts_its_training_violations(self):
+        inst = small_instance(seed=6)
+        sc = sample_scenarios(inst.model, 400, 17)
+        budget = max_removals(400, inst.risk_spec)
+        assert budget.k_removals == 7
+        rep = cli._run_one_method("socp", inst, sc, budget, None, 17, None, None)
+        violations = evaluate_outcomes(rep.x, sc, inst.program_spec).violation_count
+        assert rep.train_violations == violations == 6
+
     def test_one_test_set_per_trial(self, monkeypatch):
         inst = small_instance(seed=8)
         config = ExperimentConfig(instance=inst,
@@ -294,6 +303,23 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert f"solves={res.lp_solves} " in out
         assert f"train_violations={violations} " in out
+
+    def test_solve_socp_at_given_epsilon_counts_violations(self, tmp_path,
+                                                            capsys):
+        inst = small_instance(seed=6)
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, inst)
+        report_path = tmp_path / "report.json"
+        rc = main(["solve", "--instance", str(inst_path), "--method", "socp",
+                   "--epsilon", "0.03", "--n-scenarios", "400", "--seed", "17",
+                   "--out", str(report_path)])
+        assert rc == 0
+        payload = json.loads(report_path.read_text())
+        sc = sample_scenarios(inst.model, 400, 17)
+        violations = evaluate_outcomes(np.array(payload["x"]), sc,
+                                       inst.program_spec).violation_count
+        assert payload["train_violations"] == violations > 0
+        assert f"train_violations={violations} " in capsys.readouterr().out
 
     def test_solve_exact_mip_infeasible_exit_code(self, tmp_path, capsys):
         # no cash column and a floor far above every return: no k rows can go

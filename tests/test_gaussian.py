@@ -94,6 +94,18 @@ class TestSampling:
         c = sample_scenarios(m, 100, seed=8)
         assert not np.array_equal(a.returns, c.returns)
 
+    @pytest.mark.parametrize("count", [1, 7, 500, 8191, 8192, 8193, 10000])
+    def test_column_major_and_bit_identical(self, count):
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(4, 4)) * 0.1
+        m = GaussianModel([1.1, 1.05, 1.02, 1.0], A @ A.T)
+        r = sample_scenarios(m, count, seed=21).returns
+        z = np.random.default_rng(21).standard_normal((count, 4))
+        want = m.mean + z @ m.chol.T
+        assert r.flags.f_contiguous and not r.flags.writeable
+        assert r.shape == (count, 4)
+        assert r.tobytes(order="C") == want.tobytes(order="C")
+
     def test_law_of_large_numbers(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(2, 2)) * 0.2

@@ -8,7 +8,7 @@ from ccsaa.certificate import ScenarioBudget, max_removals
 from ccsaa.data import default_instance
 from ccsaa.errors import UnsupportedForMip
 from ccsaa.gaussian import GaussianModel, sample_scenarios
-from ccsaa.heuristics import (AsmConfig, _largest_dual, active_set,
+from ccsaa.heuristics import (AsmConfig, _largest_dual, _Master, active_set,
                               dual_greedy_removal, greedy_removal,
                               pool_and_discard, polish_dual, polish_resolve,
                               random_removal, run_method, solve_full)
@@ -371,6 +371,32 @@ class TestTieRules:
         for name in ("grp", "rap", "fgrp"):
             rep = run_method(name, sc, spec, ScenarioBudget(4, 1, 1e-6), seed=1)
             assert rep.working_set.scenario_indices == [0, 2, 3], name
+
+
+class TestMasterViews:
+    def test_enforced_views_follow_row_edits(self):
+        sc, spec, _ = make_instance(31, n_scen=60)
+        rng = np.random.default_rng(4)
+        master = _Master(sc, spec, [17, 3, 40])
+        for step in range(200):
+            # a few edits between views, some undoing each other
+            i = int(rng.integers(8)) if step % 3 else int(rng.integers(60))
+            if master.row_of[i] < 0:
+                master.add(i)
+            else:
+                master.remove(i)
+            if rng.random() < 0.6:
+                continue
+            idx = master.enforced
+            assert np.array_equal(idx, np.flatnonzero(master.row_of >= 0))
+            assert master.model.n_rows == idx.size + 1        # and the budget
+        master.solve()
+        idx, pis = master.duals()
+        assert np.array_equal(idx, master.enforced)
+        assert np.array_equal(pis, master._sol.duals_for(master.row_of[idx]))
+        ws = master.working_set()
+        assert ws.scenario_indices == idx.tolist()
+        assert ws.row_ids == {int(i): int(master.row_of[i]) for i in idx}
 
 
 class TestGoldenDraw:

@@ -300,3 +300,26 @@ class TestRecoveryCounters:
         assert m.stats.bland_switches == 1
         assert "Bland" in caplog.text
         assert (m.stats.cold_resets, m.stats.detach_failures) == (0, 0)
+
+    def test_drift_after_primal_is_repaired_and_counted(self, monkeypatch,
+                                                        caplog):
+        m = LpModel([1.0, 1.0])
+        m.add_row([1.0, -1.0], "<=", 0.0)
+        m.add_row([1.0, 1.0], "<=", 2.0)
+        real = lp._Engine._primal_infeasibility
+        calls = []
+
+        def drifted_once(self):
+            # the second check follows the first primal pass
+            calls.append(None)
+            return 1.0 if len(calls) == 2 else real(self)
+
+        monkeypatch.setattr(lp._Engine, "_primal_infeasibility", drifted_once)
+        with caplog.at_level("DEBUG", logger="ccsaa"):
+            sol = lp_solve(m)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
+        assert m.stats.repairs == 1 and len(calls) == 4
+        assert "drifted out of feasibility" in caplog.text
+        assert (m.stats.cold_resets, m.stats.detach_failures,
+                m.stats.bland_switches) == (0, 0, 0)

@@ -3,8 +3,8 @@ import pytest
 
 from ccsaa.certificate import ScenarioBudget
 from ccsaa.lp import lp_solve
-from ccsaa.saa import (ChanceProgramSpec, ScenarioSet, build_saa_lp, certify,
-                       evaluate_outcomes)
+from ccsaa.saa import (VIOLATION_TOL, ChanceProgramSpec, OutcomeVector,
+                       ScenarioSet, build_saa_lp, certify, evaluate_outcomes)
 
 from oracles import vertex_enumeration_lp
 
@@ -24,6 +24,13 @@ class TestTypes:
         assert s.n_scenarios == 4 and s.n_assets == 2
         with pytest.raises(ValueError):
             s.returns[0, 0] = 2.0   # frozen storage
+
+    def test_row_major_input_stored_column_major(self):
+        rows = np.random.default_rng(1).normal(size=(37, 5))
+        s = ScenarioSet(rows)
+        assert s.returns.flags.f_contiguous and not s.returns.flags.writeable
+        assert np.array_equal(s.returns, rows)
+        assert rows.flags.writeable          # the caller's array is untouched
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -169,3 +176,71 @@ class TestCertify:
         budget = ScenarioBudget(2, 0, 1e-6)
         assert not certify(np.array([1.0, 0.0]), sc, budget, spec)
         assert certify(np.array([0.0, 1.0]), sc, budget, spec)
+
+
+def reference_ranked(values, violated_only):
+    """The tie rule spelled out: descending value, then ascending index."""
+    idx = (np.flatnonzero(values > VIOLATION_TOL) if violated_only
+           else np.arange(values.size))
+    return idx[np.argsort(-values[idx], kind="stable")]
+
+
+def reference_kth(values, rank):
+    """(value, scenario) at a 1-based rank through a partition of all N."""
+    val = -np.partition(-values, rank - 1)[rank - 1]
+    greater = int(np.count_nonzero(values > val))
+    return float(val), int(np.flatnonzero(values == val)[rank - greater - 1])
+
+
+def tricky_values(rng, n):
+    """Outcomes with many duplicates and values at and within one ulp of
+    the violation tolerance."""
+    levels = np.concatenate([
+        rng.normal(scale=0.01, size=8),
+        [VIOLATION_TOL, np.nextafter(VIOLATION_TOL, np.inf),
+         np.nextafter(VIOLATION_TOL, -np.inf), 0.0, -0.0]])
+    values = levels[rng.integers(levels.size, size=n)]
+    distinct = rng.random(n) < 0.4
+    values[distinct] = rng.normal(scale=0.01, size=int(distinct.sum()))
+    return values
+
+
+class TestRankingAgainstReferences:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ranked_views_and_order_statistics(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        values = (tricky_values(rng, n) if seed % 3 else
+                  rng.normal(scale=0.01, size=n))
+        out = OutcomeVector(values)
+        ranked = reference_ranked(values, True)
+        assert np.array_equal(out.ranked, ranked)
+        assert np.array_equal(out.ranked_all, reference_ranked(values, False))
+        assert out.violation_count == ranked.size
+        assert np.array_equal(out.violated, np.sort(ranked))
+        for rank in range(1, n + 1):
+            assert OutcomeVector(values).kth_ranked(rank) == \
+                reference_kth(values, rank), rank
+            assert out.kth_ranked(rank) == reference_kth(values, rank), rank
+
+    def test_ulp_around_tolerance(self):
+        above = np.nextafter(VIOLATION_TOL, np.inf)
+        below = np.nextafter(VIOLATION_TOL, -np.inf)
+        values = np.array([below, above, VIOLATION_TOL, above, 1.0, below])
+        out = OutcomeVector(values)
+        assert out.violation_count == 3
+        assert list(out.ranked) == [4, 1, 3]
+        assert out.kth_ranked(3) == (above, 3)
+        # beyond the violation count: the non-violated tail, same tie rule
+        assert out.kth_ranked(4) == (VIOLATION_TOL, 2)
+        assert out.kth_ranked(5) == (below, 0)
+        assert out.kth_ranked(6) == (below, 5)
+        with pytest.raises(ValueError):
+            out.kth_ranked(7)
+
+    def test_evaluation_is_alpha_minus_product(self):
+        rng = np.random.default_rng(9)
+        sc = ScenarioSet(rng.normal(1.0, 0.1, size=(1000, 6)))
+        x = rng.dirichlet(np.ones(6))
+        values = evaluate_outcomes(x, sc, ChanceProgramSpec(0.97, np.ones(6))).values
+        assert np.array_equal(values, 0.97 - sc.returns @ x)
