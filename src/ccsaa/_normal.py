@@ -1,49 +1,11 @@
-"""Scalar standard-normal helpers: CDF, density, and a high-accuracy quantile.
+"""Scalar standard-normal helpers over ``scipy.special``."""
 
-The quantile uses a rational-approximation initializer refined by two Newton
-steps on the CDF, which lands |Phi(result) - p| well below 1e-9 across (0,1).
-"""
-
-import math
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Peter Acklam's coefficients for the initial rational approximation.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
+from scipy.special import ndtr, ndtri
 
 
 def norm_cdf(z: float) -> float:
-    """Standard normal CDF via erfc (accurate in both tails)."""
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def norm_pdf(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+    """Standard normal CDF."""
+    return float(ndtr(z))
 
 
 def inv_norm_cdf(p: float) -> float:
@@ -51,15 +13,6 @@ def inv_norm_cdf(p: float) -> float:
 
     Raises ValueError outside (0, 1) or for non-finite input.
     """
-    if not (0.0 < p < 1.0) or math.isnan(p):
+    if not 0.0 < p < 1.0:       # also rejects NaN
         raise ValueError(f"quantile probability must be in (0, 1), got {p!r}")
-    # Exact symmetry point: keep inv(0.5) == 0.0 and inv(p) == -inv(1-p).
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -inv_norm_cdf(1.0 - p)
-    z = _acklam(p)
-    for _ in range(2):
-        err = norm_cdf(z) - p
-        z -= err / norm_pdf(z)
-    return z
+    return float(ndtri(p))

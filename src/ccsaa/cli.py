@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,12 +26,11 @@ from .certificate import RiskSpec, binomial_upper_limit, max_removals
 from .data import (Instance, estimate_moments, instance_from_dict,
                    read_instance, read_price_csv, returns_from_prices,
                    write_instance)
-from .errors import (CcsaaError, ConfigError, InfeasibleModel,
-                     NumericalFailure, UnsupportedForMip)
+from .errors import (CcsaaError, ConfigError, NumericalFailure,
+                     UnsupportedForMip)
 from .gaussian import sample_scenarios, solve_gaussian_exact
 from .heuristics import METHODS, AsmConfig, run_method
-from .mip import apply_semicontinuous, build_saa_bigm, mip_solve
-from .reports import STATUS_OK, STATUS_TIME_LIMIT, SolveReport, WorkingSet
+from .reports import STATUS_OK, STATUS_TIME_LIMIT
 from .saa import ScenarioSet, evaluate_outcomes
 
 RAW_COLUMNS = ["method", "n_scenarios", "k", "trial", "seed", "objective",
@@ -71,10 +70,6 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-
-    @property
-    def asm_config(self) -> AsmConfig:
-        return AsmConfig(w=self.w, polish_iterations=self.polish_iterations)
 
 
 @dataclass
@@ -135,31 +130,11 @@ def _solve_socp(instance, scenarios, eps, semi):
 
 def _run_one_method(method, instance, scenarios, budget, cfg, seed,
                     semi, time_limit):
-    """Dispatch including the exact baselines the heuristics module omits."""
+    """socp needs the instance's Gaussian model; run_method the rest."""
     if method == "socp":
         eps = budget.discard_fraction if budget.k_removals > 0 else instance.epsilon
         # at k = 0 fall back to the instance risk level rather than eps = 0
         return _solve_socp(instance, scenarios, max(eps, 1e-9), semi)
-    if method == "exact-mip":
-        t0 = time.perf_counter()
-        model = build_saa_bigm(scenarios, instance.alpha, budget.k_removals,
-                               instance.program_spec.objective)
-        if semi is not None:
-            apply_semicontinuous(model, semi,
-                                 [j for j in range(instance.n_assets)
-                                  if j != instance.cash_index])
-        res = mip_solve(model, time_limit=time_limit or 3600.0)
-        if res.status not in ("optimal", "time_limit"):
-            raise InfeasibleModel(f"exact big-M model is {res.status}")
-        x = res.x[: instance.n_assets]
-        return SolveReport(
-            method="exact-mip", x=x, objective=res.objective_value,
-            working_set=WorkingSet([], {}), lp_solves=res.lp_solves,
-            mip_nodes=res.node_count, wall_time=time.perf_counter() - t0,
-            train_violations=evaluate_outcomes(
-                x, scenarios, instance.program_spec).violation_count,
-            seed=seed,
-            status=STATUS_OK if res.status == "optimal" else STATUS_TIME_LIMIT)
     return run_method(method, scenarios, instance.program_spec, budget,
                       cfg=cfg, seed=seed, semi=semi, time_limit=time_limit)
 
@@ -387,32 +362,25 @@ def _cmd_budget(args):
 def _cmd_sample(args):
     inst = read_instance(args.instance)
     sc = sample_scenarios(inst.model, args.n_scenarios, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"a{j + 1}" for j in range(sc.n_assets)])
-        for row in sc.returns:
-            writer.writerow([repr(float(v)) for v in row])
+    # 17 significant digits read back to the same doubles
+    np.savetxt(args.out, sc.returns, fmt="%.17g", delimiter=",", comments="",
+               header=",".join(f"a{j + 1}" for j in range(sc.n_assets)))
     print(f"wrote {sc.n_scenarios} scenarios to {args.out}")
     return 0
 
 
 def read_scenario_csv(path) -> ScenarioSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or not header[0].startswith("a"):
+    with open(path) as fh:
+        if not fh.readline().startswith("a"):
             raise ConfigError(f"{path}: expected header a1,...,an")
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                rows.append([float(v) for v in rec])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric value") from None
-    if not rows:
-        raise ConfigError(f"{path}: no scenario rows")
-    return ScenarioSet(np.array(rows), provenance=f"file({path})")
+        try:
+            # an empty body warns here, and ScenarioSet refuses it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                returns = np.loadtxt(fh, delimiter=",", ndmin=2)
+            return ScenarioSet(returns, provenance=f"file({path})")
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from None
 
 
 def _cmd_ingest(args):

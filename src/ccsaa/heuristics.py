@@ -1,21 +1,27 @@
 """Constraint-discard heuristics for the k-relaxed scenario program.
 
-Removal family (start from the full model, drop k rows):
+Each published method is a pick rule over one of three shared loops.
+_removal starts from the full model and drops one row per round, k rounds:
   greedy_removal      trial-removes every binding row, keeps the best (GR-P)
-  random_removal      drops a random binding row per round (RA-P)
-  dual_greedy_removal ranks binding rows by dual value instead of trials (FGR-P)
-
-Insertion family (start empty, add rows until certified):
-  pool_and_discard    pools the most violated scenario, then tries discards
-                      (PND; ``fast=True`` ranks discards by duals: FPND)
-  active_set          adds one ranked violated scenario per round (ASM-1)
-  polish_resolve      sweep-and-replace polish of an active-set run (ASM-2)
-  polish_dual         dual-guided polish of an active-set run (ASM-3)
+  random_removal      drops a random binding row (RA-P)
+  dual_greedy_removal drops the binding row with the largest |dual| (FGR-P)
+_insert starts empty and enforces one scenario per round until certified:
+  pool_and_discard    pools the most violated scenario, then trial-discards
+                      pooled rows (PND; ``fast=True`` tries them in dual
+                      order and keeps the first that works: FPND)
+  active_set          enforces one ranked violated scenario (ASM-1)
+_polish removes the working-set rows of an ASM-1 run one at a time:
+  polish_resolve      sweeps the working set (ASM-2)
+  polish_dual         takes the row with the largest |dual| (ASM-3)
+Trial removals share one move, ``_Master.best_removal``.  ``run_method``
+dispatches these tags and ``exact-mip`` (``mip.exact_mip``).
 
 Every method returns a SolveReport whose solution violates at most k
-training scenarios, with ``wall_time`` the method's elapsed time (a polish
-adds the time of the run it polished).  Methods that rank by duals refuse
-integer masters (UnsupportedForMip): branch-and-bound exposes no dual values.
+training scenarios, unless it stopped at its time limit (status
+``time_limit``; a polish hands such a run back retagged), with
+``wall_time`` the method's elapsed time (a polish adds the time of the run
+it polished).  Methods that rank by duals refuse integer masters
+(UnsupportedForMip): branch-and-bound exposes no dual values.
 
 Tie rules.  A pick by dual value takes the largest |dual| and, among equal
 values, the smallest scenario index; FPND tries its candidates in that order.
@@ -23,6 +29,7 @@ When no enforced row is binding, the removal family drops the row with the
 smallest slack, again the smallest scenario index among equal slacks.
 """
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -31,7 +38,8 @@ import numpy as np
 from . import lp, saa
 from .certificate import ScenarioBudget
 from .errors import CapExceeded, ConfigError, InfeasibleModel, UnsupportedForMip
-from .mip import MipModel, SemiContinuousSpec, apply_semicontinuous, mip_solve
+from .mip import (MipModel, SemiContinuousSpec, apply_semicontinuous,
+                  exact_mip, mip_solve)
 from .reports import (STATUS_CAP, STATUS_OK, STATUS_TIME_LIMIT, SolveReport,
                       WorkingSet)
 from .saa import ChanceProgramSpec, ScenarioSet, evaluate_outcomes
@@ -77,8 +85,7 @@ class _Master:
     """
 
     def __init__(self, scenarios: ScenarioSet, spec: ChanceProgramSpec,
-                 subset, semi: SemiContinuousSpec | None = None,
-                 gap_tolerance: float = 1e-4):
+                 subset, semi: SemiContinuousSpec | None = None):
         self.started = time.perf_counter()
         self.scenarios = scenarios
         self.spec = spec
@@ -92,45 +99,36 @@ class _Master:
         if semi is not None:
             if spec.cash_index is None:
                 raise ConfigError("semi-continuous runs need spec.cash_index")
-            self.mip = MipModel(base=self.model, binaries=[],
-                                gap_tolerance=gap_tolerance)
+            self.mip = MipModel(base=self.model, binaries=[])
             apply_semicontinuous(self.mip, semi,
                                  [j for j in range(scenarios.n_assets)
                                   if j != spec.cash_index])
         self.binding_tol = BINDING_TOL_MIP if self.mip else BINDING_TOL_LP
         self.solves = 0
         self.mip_nodes = 0
-        self.solver_time = 0.0
-        self.x = None               # asset block of the last solution
-        self._x_full = None
-        self._sol = None            # last LpSolution (LP masters only)
-
-    @property
-    def is_mip(self) -> bool:
-        return self.mip is not None
+        self._sol = None            # last LpSolution, or MipResult
 
     def out_of_time(self, time_limit) -> bool:
         return (time_limit is not None
                 and time.perf_counter() - self.started > time_limit)
 
+    @property
+    def x(self) -> np.ndarray:
+        """Asset block of the last solution."""
+        return self._sol.x[: self.scenarios.n_assets]
+
     def solve(self):
-        t0 = time.perf_counter()
         if self.mip is not None:
-            res = mip_solve(self.mip, warm=self._x_full)
-            self.mip_nodes += res.node_count
-            status, x_full, obj = res.status, res.x, res.objective_value
-            self._sol = None
+            sol = mip_solve(self.mip,
+                            warm=None if self._sol is None else self._sol.x)
+            self.mip_nodes += sol.node_count
         else:
             sol = lp.lp_solve(self.model)
-            status, x_full, obj = sol.status, sol.x, sol.objective_value
-            self._sol = sol
-        self.solver_time += time.perf_counter() - t0
         self.solves += 1
-        if status != lp.OPTIMAL:
-            raise InfeasibleModel(f"master solve returned {status}")
-        self._x_full = x_full
-        self.x = x_full[: self.scenarios.n_assets]
-        return self.x, float(obj)
+        if sol.status != lp.OPTIMAL:
+            raise InfeasibleModel(f"master solve returned {sol.status}")
+        self._sol = sol
+        return self.x, float(sol.objective_value)
 
     # -- row management -------------------------------------------------
     def add(self, i: int):
@@ -155,6 +153,32 @@ class _Master:
         self._listed = e[self.row_of[e] >= 0]
         return self._listed
 
+    def best_removal(self, order, admissible=None, floor=-np.inf, first=False):
+        """Trial-remove each scenario of ``order``, re-adding its row, and
+        keep removed the best trial whose objective beats ``floor`` by more
+        than 1e-12 and whose x ``admissible`` accepts (returns other than
+        None; asked only past that bar), or the first such when ``first``.
+        The master is left at that trial's solution, or at its entry one,
+        without another solve: (scenario, objective, verdict) or None."""
+        kept, state = None, self._sol
+        for i in order:
+            self.remove(i)
+            x, obj = self.solve()
+            if obj > floor + 1e-12:
+                verdict = True if admissible is None else admissible(x)
+                if verdict is not None:
+                    kept, floor = (i, obj, verdict), obj
+                    if first:
+                        return kept
+                    state = self._sol
+            # re-adding the row invalidates this trial's point; the next
+            # solve repairs it warmly
+            self.add(i)
+        if kept is not None:
+            self.remove(kept[0])
+        self._sol = state
+        return kept
+
     # -- state at the last solution --------------------------------------
     def enforced_slack(self):
         """Enforced scenarios and their r_i . x - alpha at the last solution."""
@@ -166,6 +190,10 @@ class _Master:
         idx, over = self.enforced_slack()
         return idx[(over >= -1e-9) & (over <= self.binding_tol)].tolist()
 
+    def removal_candidates(self) -> list:
+        """The binding rows; when none binds, the row closest to binding."""
+        return self.binding() or [self.closest_to_binding()]
+
     def closest_to_binding(self) -> int:
         """The enforced scenario with the smallest slack."""
         idx, over = self.enforced_slack()
@@ -174,7 +202,7 @@ class _Master:
     def duals(self):
         """(scenarios, duals) of the enforced rows at the last LP solve, in
         ascending scenario order; integer masters refuse."""
-        if self.is_mip or self._sol is None:
+        if self.mip is not None or self._sol is None:
             raise UnsupportedForMip(
                 "dual values are not available from an integer master")
         idx = self.enforced
@@ -185,8 +213,7 @@ class _Master:
         members = idx.tolist()
         return WorkingSet(members, dict(zip(members, self.row_of[idx].tolist())))
 
-    def report(self, method, obj, seed=None, status=STATUS_OK,
-               extra_solves=0, extra_nodes=0, extra_time=0.0,
+    def report(self, method, obj, seed=None, status=STATUS_OK, extra_time=0.0,
                x=None, working_set=None, violations=None) -> SolveReport:
         x = self.x if x is None else x
         if violations is None:
@@ -195,8 +222,7 @@ class _Master:
         return SolveReport(
             method=method, x=np.array(x, copy=True), objective=float(obj),
             working_set=self.working_set() if working_set is None else working_set,
-            lp_solves=self.solves + extra_solves,
-            mip_nodes=self.mip_nodes + extra_nodes,
+            lp_solves=self.solves, mip_nodes=self.mip_nodes,
             wall_time=time.perf_counter() - self.started + extra_time,
             train_violations=int(violations), seed=seed, status=status)
 
@@ -212,79 +238,88 @@ def _largest_dual(scenarios, duals):
 # full model and the removal family
 # ----------------------------------------------------------------------
 
+def _removal(scenarios, spec, method, k, pick, first=True, semi=None,
+             seed=None, time_limit=None) -> SolveReport:
+    """Solve the full model, then k rounds, each trial-removing the rows
+    ``pick(master)`` lists and keeping the best (the first when ``first``)."""
+    master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
+    _, obj = master.solve()
+    for _ in range(k):
+        if master.out_of_time(time_limit):
+            return master.report(method, obj, seed=seed,
+                                 status=STATUS_TIME_LIMIT)
+        _, obj, _ = master.best_removal(pick(master), first=first)
+    return master.report(method, obj, seed=seed)
+
+
 def solve_full(scenarios, spec, semi=None) -> SolveReport:
     """Enforce every scenario row; the conservative zero-discard baseline."""
-    master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
-    x, obj = master.solve()
-    return master.report("full", obj)
+    return _removal(scenarios, spec, "full", 0, None, semi=semi)
 
 
 def greedy_removal(scenarios, spec, budget: ScenarioBudget, semi=None,
                    time_limit=None) -> SolveReport:
     """GR-P: k rounds, each trial-removing every binding row and keeping the
     removal that improves the objective most."""
-    master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
-    x, obj = master.solve()
-    best_x, best_obj = x.copy(), obj
-    for _ in range(budget.k_removals):
-        if master.out_of_time(time_limit):
-            return master.report("grp", best_obj, x=best_x,
-                                 status=STATUS_TIME_LIMIT)
-        # nothing binding: drop the row closest to binding
-        candidates = master.binding() or [master.closest_to_binding()]
-        best = None
-        for i in candidates:
-            master.remove(i)
-            x, obj = master.solve()
-            if best is None or obj > best[1] + 1e-12:
-                best = (i, obj, x.copy(), master._x_full.copy())
-            master.add(i)
-        i, best_obj, best_x, full = best
-        master.remove(i)
-        # model now equals the winning trial state; restore its solution
-        # instead of spending another solve
-        master._x_full = full
-        master.x = best_x
-    return master.report("grp", best_obj, x=best_x)
+    return _removal(scenarios, spec, "grp", budget.k_removals,
+                    _Master.removal_candidates, first=False, semi=semi,
+                    time_limit=time_limit)
 
 
 def random_removal(scenarios, spec, budget: ScenarioBudget, seed,
                    semi=None, time_limit=None) -> SolveReport:
     """RA-P: k rounds, each dropping one binding row chosen uniformly."""
     rng = np.random.default_rng(seed)
-    master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
-    x, obj = master.solve()
-    for _ in range(budget.k_removals):
-        if master.out_of_time(time_limit):
-            return master.report("rap", obj, seed=seed, status=STATUS_TIME_LIMIT)
-        candidates = master.binding() or [master.closest_to_binding()]
-        master.remove(candidates[int(rng.integers(len(candidates)))])
-        x, obj = master.solve()
-    return master.report("rap", obj, seed=seed)
+
+    def pick(m):
+        candidates = m.removal_candidates()
+        return [candidates[int(rng.integers(len(candidates)))]]
+
+    return _removal(scenarios, spec, "rap", budget.k_removals, pick,
+                    semi=semi, seed=seed, time_limit=time_limit)
 
 
 def dual_greedy_removal(scenarios, spec, budget: ScenarioBudget,
                         time_limit=None) -> SolveReport:
     """FGR-P: like GR-P but each round removes the binding row whose dual
     promises the largest instantaneous improvement; 1 + k solves total."""
-    master = _Master(scenarios, spec, range(scenarios.n_scenarios))
-    x, obj = master.solve()
-    for _ in range(budget.k_removals):
-        if master.out_of_time(time_limit):
-            return master.report("fgrp", obj, status=STATUS_TIME_LIMIT)
+
+    def pick(m):
         # improvement rate per unit relaxation is |dual| regardless of the
         # row-orientation sign convention
-        pick, rate = _largest_dual(*master.duals())
-        if rate <= 1e-12:
-            pick = master.closest_to_binding()
-        master.remove(pick)
+        scenario, rate = _largest_dual(*m.duals())
+        return [scenario if rate > 1e-12 else m.closest_to_binding()]
+
+    return _removal(scenarios, spec, "fgrp", budget.k_removals, pick,
+                    time_limit=time_limit)
+
+
+# ----------------------------------------------------------------------
+# the insertion family
+# ----------------------------------------------------------------------
+
+def _insert(scenarios, spec, method, pick, cfg: AsmConfig, semi=None,
+            seed=None, time_limit=None):
+    """Solve the empty master, then enforce ``pick(out)``, the scenario
+    chosen from the outcomes at the last solution, and re-solve, until it
+    returns None: (master, objective, violation count, status) at the end."""
+    master = _Master(scenarios, spec, [], semi=semi)
+    x, obj = master.solve()
+    for additions in itertools.count():
+        out = evaluate_outcomes(x, scenarios, spec)
+        i = pick(out)
+        if i is None:
+            return master, obj, out.violation_count, STATUS_OK
+        if additions >= cfg.max_rounds:
+            raise CapExceeded(
+                f"{method}: addition cap exceeded",
+                report=master.report(method, obj, seed=seed, status=STATUS_CAP,
+                                     violations=out.violation_count))
+        if master.out_of_time(time_limit):
+            return master, obj, out.violation_count, STATUS_TIME_LIMIT
+        master.add(i)
         x, obj = master.solve()
-    return master.report("fgrp", obj)
 
-
-# ----------------------------------------------------------------------
-# pool and discard
-# ----------------------------------------------------------------------
 
 def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
                      seed=None, semi=None, cfg: AsmConfig | None = None,
@@ -303,88 +338,37 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
     accounting open.
     """
     method = "fpnd" if fast else "pnd"
-    cfg = cfg or AsmConfig()
     k = budget.k_removals
-    master = _Master(scenarios, spec, [], semi=semi)
-    if fast and master.is_mip:
+    if fast and semi is not None:
         raise UnsupportedForMip("FPND ranks removals by dual values")
-    x, obj = master.solve()
-    out = evaluate_outcomes(x, scenarios, spec)
-    rounds = 0
-    while out.violation_count > k:
-        rounds += 1
-        if rounds > cfg.max_rounds:
-            raise CapExceeded("pooling round cap exceeded",
-                              report=master.report(method, obj, seed=seed,
-                                                   status=STATUS_CAP))
-        if master.out_of_time(time_limit):
-            return master.report(method, obj, seed=seed,
-                                 status=STATUS_TIME_LIMIT)
-        master.add(out.kth_ranked(1)[1])
-        x, obj = master.solve()
-        out = evaluate_outcomes(x, scenarios, spec)
+    master, obj, violations, status = _insert(
+        scenarios, spec, method,
+        lambda out: out.kth_ranked(1)[1] if out.violation_count > k else None,
+        cfg or AsmConfig(), semi=semi, seed=seed, time_limit=time_limit)
+    if status != STATUS_OK:
+        return master.report(method, obj, seed=seed, status=status,
+                             violations=violations)
 
-    incumbent_x, incumbent_obj = x.copy(), obj
-    incumbent_viol = out.violation_count
-    improved = True
-    while improved:
-        improved = False
-        if master.out_of_time(time_limit):
-            break
+    def certified(x):
+        count = evaluate_outcomes(x, scenarios, spec).violation_count
+        return count if count <= k else None
+
+    while not master.out_of_time(time_limit):
         order = master.binding()
         if not order:
             break
         if fast:
-            # test candidates in dual order, accept the first that works
             idx, pis = master.duals()
             rate = np.abs(pis[np.searchsorted(idx, order)])
             order = [order[p] for p in np.lexsort((order, -rate))]
-            for i in order:
-                master.remove(i)
-                x, obj = master.solve()
-                out = evaluate_outcomes(x, scenarios, spec)
-                if out.violation_count <= k and obj > incumbent_obj + 1e-12:
-                    incumbent_x, incumbent_obj = x.copy(), obj
-                    incumbent_viol = out.violation_count
-                    improved = True
-                    break
-                master.add(i)
-                # the re-added row invalidates the trial point for the next
-                # candidate; the next solve repairs it warmly
-        else:
-            # trial every candidate, keep the best certified improvement
-            best = None
-            for i in order:
-                master.remove(i)
-                x, obj = master.solve()
-                out = evaluate_outcomes(x, scenarios, spec)
-                if (out.violation_count <= k and obj > incumbent_obj + 1e-12
-                        and (best is None or obj > best[1] + 1e-12)):
-                    best = (i, obj, x.copy(), master._x_full.copy(),
-                            out.violation_count)
-                master.add(i)
-            if best is not None:
-                i, incumbent_obj, incumbent_x, full, incumbent_viol = best
-                master.remove(i)
-                master._x_full = full
-                master.x = incumbent_x
-                improved = True
+        kept = master.best_removal(order, certified, floor=obj, first=fast)
+        if kept is None:
+            break
+        _, obj, violations = kept
 
     # keep only rows binding at the incumbent in the reported working set
-    master.x = incumbent_x
-    return master.report(method, incumbent_obj, seed=seed, x=incumbent_x,
-                         working_set=master.working_set(master.binding()),
-                         violations=incumbent_viol)
-
-
-# ----------------------------------------------------------------------
-# active-set family
-# ----------------------------------------------------------------------
-
-def _rank_position(k: int, n_violated: int, w: float) -> int:
-    """1-based rank of the violation to enforce next, clamped to range."""
-    j = int(np.floor(w * (k + 1) + (1.0 - w) * n_violated))
-    return min(max(j, k + 1), n_violated)
+    return master.report(method, obj, seed=seed, violations=violations,
+                         working_set=master.working_set(master.binding()))
 
 
 def active_set(scenarios, spec, budget: ScenarioBudget,
@@ -398,73 +382,98 @@ def active_set(scenarios, spec, budget: ScenarioBudget,
     """
     cfg = cfg or AsmConfig()
     k = budget.k_removals
-    master = _Master(scenarios, spec, [], semi=semi)
-    x, obj = master.solve()
-    additions = 0
-    while True:
-        out = evaluate_outcomes(x, scenarios, spec)
+
+    def pick(out):
         ranked = out.ranked
         if ranked.size <= k:
-            break
-        if additions >= cfg.max_rounds:
-            raise CapExceeded(
-                "active-set addition cap exceeded",
-                report=master.report("asm1", obj, seed=seed, status=STATUS_CAP))
-        if master.out_of_time(time_limit):
-            return master.report("asm1", obj, seed=seed,
-                                 status=STATUS_TIME_LIMIT)
-        j = _rank_position(k, ranked.size, cfg.w)
-        master.add(int(ranked[j - 1]))
-        additions += 1
-        x, obj = master.solve()
-    return master.report("asm1", obj, seed=seed,
-                         violations=int(ranked.size))
+            return None
+        j = int(np.floor(cfg.w * (k + 1) + (1.0 - cfg.w) * ranked.size))
+        return int(ranked[min(max(j, k + 1), ranked.size) - 1])
+
+    master, obj, violations, status = _insert(
+        scenarios, spec, "asm1", pick, cfg, semi=semi, seed=seed,
+        time_limit=time_limit)
+    return master.report("asm1", obj, seed=seed, status=status,
+                         violations=violations)
 
 
-def _unpolished(report: SolveReport, method: str) -> SolveReport:
-    """An empty working set leaves nothing to polish: the run, retagged."""
-    return replace(report, method=method, x=report.x.copy(),
-                   working_set=report.working_set.copy(), status=STATUS_OK)
+# ----------------------------------------------------------------------
+# polishing an active-set run
+# ----------------------------------------------------------------------
 
-
-def _polish_master(report: SolveReport, scenarios, spec, budget, semi):
-    """Master over the run's working set, and the run as the incumbent."""
-    if report.train_violations > budget.k_removals:
+def _polish(report: SolveReport, method, rows, scenarios, spec,
+            budget: ScenarioBudget, cfg=None, semi=None,
+            time_limit=None) -> SolveReport:
+    """Over a master of the run's working set, remove one at a time the
+    rows the generator ``rows(master, report, rounds)`` yields; after each
+    removal re-solve, and when the scenario at the test rank is violated
+    and not enforced, swap it in, re-solve and send it back to the
+    generator.  Keep the best certified point, starting from the run.  A
+    run that is not ok (it stopped at its time limit), or has an empty
+    working set, comes back retagged."""
+    if report.status != STATUS_OK or len(report.working_set) == 0:
+        return replace(report, method=method, x=report.x.copy(),
+                       working_set=report.working_set.copy())
+    k = budget.k_removals
+    if report.train_violations > k:
         raise ValueError("polish input must be certified")
     master = _Master(scenarios, spec, list(report.working_set.scenario_indices),
                      semi=semi)
-    return master, (report.x.copy(), report.objective, report.train_violations,
-                    report.working_set.copy())
-
-
-def _polish_step(master: _Master, k: int, incumbent):
-    """Re-solve after a removal; while the test rank is violated, swap that
-    scenario in and re-solve once more.  Returns the incumbent, replaced when
-    the point is certified and better, and the scenario swapped in or None."""
+    master.solves, master.mip_nodes = report.lp_solves, report.mip_nodes
+    best = (report.x, report.objective, report.train_violations,
+            report.working_set.copy())
     test = max(k, 1)    # the test rank; at k = 0 any violation is too many
-    x, obj = master.solve()
-    out = evaluate_outcomes(x, master.scenarios, master.spec)
-    swap_in = None
-    if out.violation_count >= test:
-        _, scenario = out.kth_ranked(test)
-        if master.row_of[scenario] < 0:
-            swap_in = scenario
-            master.add(swap_in)
-            x, obj = master.solve()
-            out = evaluate_outcomes(x, master.scenarios, master.spec)
-    if out.violation_count < test and obj > incumbent[1] + 1e-12:
-        incumbent = (x.copy(), obj, out.violation_count, master.working_set())
-    return incumbent, swap_in
-
-
-def _polish_report(master: _Master, method, incumbent, report: SolveReport,
-                   status) -> SolveReport:
-    x, obj, viol, ws = incumbent
+    rows = rows(master, report,
+                (cfg or AsmConfig()).resolved_iterations(scenarios.n_assets))
+    swap_in, status = None, STATUS_OK
+    # each call sends the last swap-in back; the generator's end ends the loop
+    for s in iter(lambda: rows.send(swap_in), None):
+        if master.out_of_time(time_limit):
+            status = STATUS_TIME_LIMIT
+            break
+        master.remove(s)
+        x, obj = master.solve()
+        out = evaluate_outcomes(x, scenarios, spec)
+        swap_in = None
+        if out.violation_count >= test:
+            _, scenario = out.kth_ranked(test)
+            if master.row_of[scenario] < 0:
+                swap_in = scenario
+                master.add(swap_in)
+                x, obj = master.solve()
+                out = evaluate_outcomes(x, scenarios, spec)
+        if out.violation_count < test and obj > best[1] + 1e-12:
+            best = (x, obj, out.violation_count, master.working_set())
+    x, obj, violations, ws = best
     return master.report(method, obj, seed=report.seed, x=x, working_set=ws,
-                         violations=viol, status=status,
-                         extra_solves=report.lp_solves,
-                         extra_nodes=report.mip_nodes,
+                         violations=violations, status=status,
                          extra_time=report.wall_time)
+
+
+def _sweep(master, report, sweeps):
+    """ASM-2's rows: the run's working set in order, then the scenarios
+    swapped in during that pass (each sent back for the row just yielded),
+    and so on, ``sweeps`` passes."""
+    members = report.working_set.scenario_indices
+    for _ in range(sweeps):
+        swapped = []
+        for s in members:
+            swap_in = yield s
+            if swap_in is not None:
+                swapped.append(swap_in)
+        members = swapped
+
+
+def _largest_duals(master: _Master, report, rounds):
+    """ASM-3's rows: up to ``rounds`` times the enforced row with the largest
+    |dual|, while removing it can move the objective."""
+    master.solve()          # establish dual values for the working set
+    for _ in range(rounds):
+        idx, pis = master.duals()
+        pick, rate = _largest_dual(idx, pis) if idx.size else (None, 0.0)
+        if rate <= 1e-12:
+            return          # no removal can move the objective
+        yield pick
 
 
 def polish_resolve(report: SolveReport, scenarios, spec,
@@ -472,28 +481,8 @@ def polish_resolve(report: SolveReport, scenarios, spec,
                    semi=None, time_limit=None) -> SolveReport:
     """ASM-2: sweep the working set; remove each row, and when the test rank
     is still violated swap that scenario in; keep certified improvements."""
-    cfg = cfg or AsmConfig()
-    if len(report.working_set) == 0:
-        return _unpolished(report, "asm2")
-    master, incumbent = _polish_master(report, scenarios, spec, budget, semi)
-    members = list(report.working_set.scenario_indices)
-    status = STATUS_OK
-    for _ in range(cfg.resolved_iterations(scenarios.n_assets)):
-        if status != STATUS_OK:
-            break
-        for s in list(members):
-            if master.row_of[s] < 0:
-                continue
-            if master.out_of_time(time_limit):
-                status = STATUS_TIME_LIMIT
-                break
-            master.remove(s)
-            members.remove(s)
-            incumbent, swap_in = _polish_step(master, budget.k_removals,
-                                              incumbent)
-            if swap_in is not None:
-                members.append(swap_in)
-    return _polish_report(master, "asm2", incumbent, report, status)
+    return _polish(report, "asm2", _sweep, scenarios, spec, budget, cfg=cfg,
+                   semi=semi, time_limit=time_limit)
 
 
 def polish_dual(report: SolveReport, scenarios, spec,
@@ -501,25 +490,8 @@ def polish_dual(report: SolveReport, scenarios, spec,
                 time_limit=None) -> SolveReport:
     """ASM-3: like the sweep polish, but each iteration removes only the row
     whose dual value promises the largest instantaneous improvement."""
-    cfg = cfg or AsmConfig()
-    if len(report.working_set) == 0:
-        return _unpolished(report, "asm3")
-    master, incumbent = _polish_master(report, scenarios, spec, budget, None)
-    master.solve()          # establish dual values for the working set
-    status = STATUS_OK
-    for _ in range(cfg.resolved_iterations(scenarios.n_assets)):
-        idx, pis = master.duals()
-        if not idx.size:
-            break
-        if master.out_of_time(time_limit):
-            status = STATUS_TIME_LIMIT
-            break
-        pick, rate = _largest_dual(idx, pis)
-        if rate <= 1e-12:
-            break               # no removal can move the objective
-        master.remove(pick)
-        incumbent, _ = _polish_step(master, budget.k_removals, incumbent)
-    return _polish_report(master, "asm3", incumbent, report, status)
+    return _polish(report, "asm3", _largest_duals, scenarios, spec, budget,
+                   cfg=cfg, time_limit=time_limit)
 
 
 # ----------------------------------------------------------------------
@@ -531,13 +503,17 @@ DUAL_METHODS = ("fgrp", "fpnd", "asm3")
 def run_method(name: str, scenarios, spec, budget: ScenarioBudget,
                cfg: AsmConfig | None = None, seed=None, semi=None,
                time_limit=None) -> SolveReport:
-    """Dispatch one heuristic by its tag; dual-based tags refuse ``semi``."""
-    if name not in METHODS:
+    """Dispatch one method by its tag: a heuristic of ``METHODS``, or
+    ``exact-mip``, the big-M branch-and-bound.  Dual-based tags refuse
+    ``semi``."""
+    if name not in METHODS + ("exact-mip",):
         raise ConfigError(f"unknown method {name!r}")
     if semi is not None and name in DUAL_METHODS:
         raise UnsupportedForMip(f"{name} needs LP duals and cannot run on "
                                 "an integer master")
-    cfg = cfg or AsmConfig()
+    if name == "exact-mip":
+        return exact_mip(scenarios, spec, budget, semi=semi,
+                         time_limit=time_limit, seed=seed)
     if name == "full":
         return solve_full(scenarios, spec, semi=semi)
     if name == "grp":

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .saa import ScenarioSet
+from .errors import InfeasibleModel
+from .reports import STATUS_OK, STATUS_TIME_LIMIT, SolveReport, WorkingSet
+from .saa import ScenarioSet, evaluate_outcomes
 
 _INTEGRALITY_TOL = 1e-6
 DEFAULT_GAP = 1e-4
@@ -170,12 +172,12 @@ def _incumbent_valid(model: MipModel, x) -> bool:
 
 
 def mip_solve(model: MipModel, warm=None,
-              time_limit: float = DEFAULT_TIME_LIMIT) -> MipResult:
+              time_limit: float | None = DEFAULT_TIME_LIMIT) -> MipResult:
     """Solve the integer model to the configured relative gap.
 
     ``warm`` is an optional incumbent point from a previous, related solve;
     it is adopted only after passing feasibility and integrality screening.
-    On hitting the time limit the best incumbent is returned, flagged.
+    At the time limit (None: none) the best incumbent is returned, flagged.
     """
     base = model.base
     t0 = time.perf_counter()
@@ -219,7 +221,7 @@ def mip_solve(model: MipModel, warm=None,
     hit_limit = False
 
     while stack or heap:
-        if time.perf_counter() - t0 > time_limit:
+        if time_limit is not None and time.perf_counter() - t0 > time_limit:
             hit_limit = True
             break
         if stack and incumbent_x is None:
@@ -297,3 +299,34 @@ def mip_solve(model: MipModel, warm=None,
         restore()
     return MipResult(status, incumbent_x, incumbent_obj, nodes, lp_solves,
                      root_bound, gap, hit_limit, _lp=incumbent_sol)
+
+
+def exact_mip(scenarios: ScenarioSet, spec, budget, semi=None,
+              time_limit=None, seed=None) -> SolveReport:
+    """The exact baseline ``exact-mip``: the big-M model over every scenario,
+    solved by branch-and-bound (``time_limit`` None: no limit).
+
+    A solve stopped at its time limit reports its incumbent, or without one
+    the root relaxation's x and its objective c . x, with status
+    ``time_limit``; an infeasible model raises InfeasibleModel.
+    """
+    t0 = time.perf_counter()
+    model = build_saa_bigm(scenarios, spec.alpha, budget.k_removals,
+                           spec.objective)
+    if semi is not None:
+        apply_semicontinuous(model, semi, [j for j in range(scenarios.n_assets)
+                                           if j != spec.cash_index])
+    res = mip_solve(model, time_limit=time_limit)
+    if res.status not in (lp.OPTIMAL, "time_limit"):
+        raise InfeasibleModel(f"exact big-M model is {res.status}")
+    x = res.x[: scenarios.n_assets]
+    objective = res.objective_value
+    if np.isnan(objective):         # no incumbent
+        objective = float(spec.objective @ x)
+    return SolveReport(
+        method="exact-mip", x=x, objective=objective,
+        working_set=WorkingSet([], {}), lp_solves=res.lp_solves,
+        mip_nodes=res.node_count, wall_time=time.perf_counter() - t0,
+        train_violations=evaluate_outcomes(x, scenarios, spec).violation_count,
+        seed=seed,
+        status=STATUS_OK if res.status == lp.OPTIMAL else STATUS_TIME_LIMIT)

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ccsaa.gaussian import GaussianModel, sample_scenarios
 from ccsaa.heuristics import run_method
 from ccsaa.mip import SemiContinuousSpec, build_saa_bigm, mip_solve
 from ccsaa.saa import evaluate_outcomes
+
+GOLDEN_RAW = Path(__file__).with_name("golden_raw.csv")
 
 
 def small_instance(n_risky=3, seed=0, alpha=0.96):
@@ -191,6 +194,33 @@ class TestRunExperiment:
                              trials=0)
 
 
+class TestGoldenCampaign:
+    """raw.csv of a small campaign over every method tag, recorded before the
+    heuristics became pick rules over shared loops and exact-mip moved into
+    run_method; wall_time is left out.  Only the last bits of the normal
+    quantile may move: the Wilson limit and the Gaussian baseline's figures
+    are compared to 1e-12 relative, everything else exactly."""
+
+    def test_raw_rows_match_recording(self):
+        config = ExperimentConfig(instance=small_instance(seed=6),
+                                  methods=list(cli.ALL_METHODS),
+                                  n_grid=[100, 150], trials=2, base_seed=17,
+                                  test_set_size=1000)
+        rows, _ = run_experiment(config)
+        with open(GOLDEN_RAW, newline="") as fh:
+            golden = list(csv.DictReader(fh))
+        assert len(rows) == len(golden)
+        for row, want in zip(rows, golden):
+            for column, value in want.items():
+                got = getattr(row, column)
+                if isinstance(got, float) and (column == "binomial_upper_limit"
+                                               or row.method == "socp"):
+                    assert got == pytest.approx(float(value), rel=1e-12, abs=0)
+                else:
+                    assert str(cli._fmt(got)) == value, (row.method, row.trial,
+                                                         column)
+
+
 class TestSweepW:
     def test_single_w_matches_experiment(self):
         inst = small_instance(seed=7)
@@ -276,6 +306,31 @@ class TestCommandLine:
         rate2, _ = capsys.readouterr().out.strip().splitlines()[-1].split(",")
         k = json.loads(report_path.read_text())["k"]
         assert float(rate2) * 300 <= k + 1e-9
+
+    def test_sampled_csv_reads_back_bit_exact(self, tmp_path):
+        inst = small_instance(seed=9)
+        inst_path, scen_path = tmp_path / "inst.json", tmp_path / "scen.csv"
+        write_instance(inst_path, inst)
+        assert main(["sample", "--instance", str(inst_path), "--n-scenarios",
+                     "500", "--seed", "5", "--out", str(scen_path)]) == 0
+        back = cli.read_scenario_csv(scen_path)
+        assert np.array_equal(back.returns,
+                              sample_scenarios(inst.model, 500, 5).returns)
+
+    def test_malformed_scenario_file_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, small_instance(seed=9))
+        for name, text in [("value", "a1,a2,a3,a4\n1,1,x,1\n"),
+                           ("ragged", "a1,a2,a3,a4\n1,1,1,1\n1,1,1\n"),
+                           ("empty", "a1,a2,a3,a4\n"),
+                           ("nan", "a1,a2,a3,a4\n1,1,nan,1\n"),
+                           ("header", "1,1,1,1\n1,1,1,1\n")]:
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            rc = main(["solve", "--instance", str(inst_path), "--method",
+                       "asm1", "--scenarios", str(path)])
+            assert rc == 2, name
+            assert str(path) in capsys.readouterr().err, name
 
     def test_solve_exact_mip_reports_its_work(self, tmp_path, capsys):
         inst = small_instance(seed=6)

@@ -305,6 +305,68 @@ class TestPolish:
             polish_resolve(bad, sc, spec, budget)
 
 
+class TestTimedOutPolish:
+    """A polish hands a base run that stopped at its time limit back
+    retagged, status kept; the clock is replaced so the stop is exact."""
+
+    def run(self, monkeypatch, stop_at_solve):
+        monkeypatch.setattr(_Master, "out_of_time",
+                            lambda self, limit: self.solves >= stop_at_solve)
+        sc, spec, _ = make_instance(21, n_scen=50, alpha=0.97)
+        budget = ScenarioBudget(50, 2, 1e-6)
+        base = active_set(sc, spec, budget, time_limit=1.0)
+        assert base.status == "time_limit"
+        assert base.train_violations > budget.k_removals
+        for name in ("asm2", "asm3"):
+            rep = run_method(name, sc, spec, budget, time_limit=1.0)
+            assert (rep.method, rep.status) == (name, "time_limit")
+            assert np.array_equal(rep.x, base.x)
+            assert (rep.objective, rep.train_violations, rep.lp_solves) == (
+                base.objective, base.train_violations, base.lp_solves)
+            assert (rep.working_set.scenario_indices
+                    == base.working_set.scenario_indices)
+        return base
+
+    def test_empty_working_set(self, monkeypatch):
+        assert len(self.run(monkeypatch, stop_at_solve=1).working_set) == 0
+
+    def test_uncertified_working_set(self, monkeypatch):
+        assert len(self.run(monkeypatch, stop_at_solve=3).working_set) == 2
+
+
+class TestBestRemoval:
+    def test_keeps_best_trial_restores_and_screens(self):
+        sc, spec, _ = make_instance(8, n_risky=4)
+        master = _Master(sc, spec, range(30))
+        x0, _ = master.solve()
+        entry = master._sol
+        order = master.binding()
+        assert len(order) == 4
+        trials = {i: lp_solve(build_saa_lp(sc, spec, subset=[
+            j for j in range(30) if j != i])).objective_value for i in order}
+
+        asked = []
+        assert master.best_removal(order, lambda x: asked.append(x)) is None
+        assert len(asked) == len(order)
+        assert master._sol is entry and np.array_equal(master.x, x0)
+        assert master.enforced.tolist() == list(range(30))
+        # a floor no trial beats: admissible is never asked
+        assert master.best_removal(order, lambda x: asked.append(x),
+                                   floor=max(trials.values())) is None
+        assert len(asked) == len(order)
+
+        i, obj, verdict = master.best_removal(order)
+        assert verdict is True
+        assert obj == pytest.approx(max(trials.values()), abs=1e-9)
+        assert trials[i] == pytest.approx(obj, abs=1e-9)
+        assert master.enforced.tolist() == [j for j in range(30) if j != i]
+        assert master.x @ spec.objective == pytest.approx(obj, abs=1e-9)
+        first = next(j for j in order if j != i)
+        assert master.best_removal([first], first=True)[0] == first
+        assert master.row_of[first] < 0
+        assert master.solves == 1 + 3 * len(order) + 1
+
+
 class TestRunMethod:
     def test_dispatch_all_methods(self):
         sc, spec, _ = make_instance(25, n_scen=25, alpha=0.96)
@@ -401,8 +463,10 @@ class TestMasterViews:
 
 class TestGoldenDraw:
     """Outputs on one default-instance draw, recorded before the master's
-    row map moved from a dict to an array; any change in the tie rules or
-    the arithmetic shows here.  Removal methods list the discarded rows."""
+    row map moved from a dict to an array (pnd, asm1, asm2 and the banded
+    runs: before the heuristics became pick rules over shared loops); any
+    change in the tie rules or the arithmetic shows here.  Removal methods
+    list the discarded rows."""
 
     N, SEED = 2000, 11
     GOLDEN = {
@@ -418,20 +482,44 @@ class TestGoldenDraw:
         "fpnd": ("1.145846592262205", 5, 5, [679, 1686]),
         "asm3": ("1.1465458218358184", 54, 14,
                  [207, 735, 781, 798, 810, 1537, 1582, 1635, 1664, 1724]),
+        "pnd": ("1.145846592262205", 5, 5, [679, 1686]),
+        "asm1": ("1.1465458218358184", 11, 14,
+                 [207, 735, 781, 798, 810, 1537, 1582, 1635, 1664, 1724]),
+        "asm2": ("1.1465458218358184", 107, 14,
+                 [207, 735, 781, 798, 810, 1537, 1582, 1635, 1664, 1724]),
+    }
+    # the instance's semi-continuous band, so the masters are integer
+    BANDED = {
+        "rap": ("1.143548907536412", 15, 22, 0,
+                [21, 64, 236, 237, 391, 860, 957, 1042, 1226, 1300, 1388,
+                 1573, 1654, 1900]),
+        "asm1": ("1.143548907536412", 1, 19, 0, []),
+        "asm2": ("1.143548907536412", 1, 19, 0, []),
     }
 
-    def test_methods_reproduce_recorded_outputs(self):
+    def run(self, name, banded):
         inst = default_instance()
         budget = max_removals(self.N, inst.risk_spec)
         assert budget.k_removals == 14
         sc = sample_scenarios(inst.model, self.N, self.SEED)
+        rep = run_method(name, sc, inst.program_spec, budget, seed=self.SEED,
+                         semi=inst.semicontinuous if banded else None)
+        kept = sorted(rep.working_set.scenario_indices)
+        if name in ("grp", "fgrp", "rap"):
+            kept = sorted(set(range(self.N)) - set(kept))
+        return rep, kept
+
+    def test_methods_reproduce_recorded_outputs(self):
         for name, (obj, solves, violations, rows) in self.GOLDEN.items():
-            rep = run_method(name, sc, inst.program_spec, budget, seed=self.SEED)
-            kept = sorted(rep.working_set.scenario_indices)
-            if name in ("grp", "fgrp", "rap"):
-                kept = sorted(set(range(self.N)) - set(kept))
+            rep, kept = self.run(name, banded=False)
             assert (repr(rep.objective), rep.lp_solves, rep.train_violations,
                     kept) == (obj, solves, violations, rows), name
+
+    def test_banded_methods_reproduce_recorded_outputs(self):
+        for name, expected in self.BANDED.items():
+            rep, kept = self.run(name, banded=True)
+            assert (repr(rep.objective), rep.lp_solves, rep.mip_nodes,
+                    rep.train_violations, kept) == expected, name
 
 
 class TestWallTime:

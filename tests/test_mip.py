@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from ccsaa import lp
+from ccsaa.certificate import ScenarioBudget
+from ccsaa.heuristics import run_method
 from ccsaa.lp import LpModel, lp_solve
 from ccsaa.mip import (MipModel, SemiContinuousSpec, apply_semicontinuous,
-                       big_m_values, build_saa_bigm, mip_solve)
-from ccsaa.saa import ChanceProgramSpec, ScenarioSet, build_saa_lp
+                       big_m_values, build_saa_bigm, exact_mip, mip_solve)
+from ccsaa.saa import (ChanceProgramSpec, ScenarioSet, build_saa_lp,
+                       evaluate_outcomes)
 
 
 def gaussian_scenarios(rng, n_scen, means, vols):
@@ -202,3 +205,36 @@ class TestGapAndIntegrality:
         first = mip_solve(model)
         again = mip_solve(model, warm=first.x)
         assert again.objective_value == pytest.approx(first.objective_value, abs=1e-9)
+
+
+class TestExactMipMethod:
+    def instance(self):
+        rng = np.random.default_rng(10)
+        sc = gaussian_scenarios(rng, 40, np.array([1.06, 1.09]),
+                                np.array([0.12, 0.3]))
+        spec = ChanceProgramSpec(0.96, [1.06, 1.09, 1.0], cash_index=2)
+        return sc, spec, ScenarioBudget(40, 3, float("nan"))
+
+    def test_dispatched_by_run_method(self):
+        sc, spec, budget = self.instance()
+        rep = run_method("exact-mip", sc, spec, budget, seed=4)
+        res = mip_solve(build_saa_bigm(sc, spec.alpha, 3, spec.objective))
+        assert (rep.method, rep.status, rep.seed) == ("exact-mip", "ok", 4)
+        assert rep.objective == res.objective_value
+        assert (rep.lp_solves, rep.mip_nodes) == (res.lp_solves,
+                                                  res.node_count)
+        assert rep.train_violations == evaluate_outcomes(
+            rep.x, sc, spec).violation_count <= 3
+
+    def test_time_limit_zero_reports_the_root_point(self):
+        # a zero limit stops at the root: no incumbent, so the root
+        # relaxation's x comes back with its own objective, not NaN
+        sc, spec, budget = self.instance()
+        rep = exact_mip(sc, spec, budget, time_limit=0)
+        root = lp_solve(build_saa_bigm(sc, spec.alpha, 3, spec.objective).base)
+        assert (rep.status, rep.mip_nodes) == ("time_limit", 1)
+        assert np.array_equal(rep.x, root.x[:3])
+        assert rep.objective == float(spec.objective @ rep.x)
+        assert rep.objective == pytest.approx(root.objective_value, abs=1e-12)
+        assert rep.train_violations == evaluate_outcomes(
+            rep.x, sc, spec).violation_count
