@@ -533,8 +533,10 @@ def run_method(name: str, scenarios, spec, budget: ScenarioBudget,
                       time_limit=time_limit, seed=seed)
     if name == "asm1":
         return base
+    # the polish gets what ASM-1 left of the limit
+    rest = None if time_limit is None else time_limit - base.wall_time
     if name == "asm2":
         return polish_resolve(base, scenarios, spec, budget, cfg=cfg,
-                              semi=semi, time_limit=time_limit)
+                              semi=semi, time_limit=rest)
     return polish_dual(base, scenarios, spec, budget, cfg=cfg,
-                       time_limit=time_limit)
+                       time_limit=rest)

@@ -50,9 +50,33 @@ class _KernelSingular(Exception):
     pass
 
 
+def _improving(status, d, tol):
+    """Direction (+1, -1, or 0 for none) in which each nonbasic variable may
+    leave its ``status`` to raise, by more than ``tol`` per unit, a quantity
+    that rises at rate ``d`` per unit increase of the variable."""
+    up = ((status == AT_LOWER) | (status == NB_FREE)) & (d > tol)
+    down = ((status == AT_UPPER) | (status == NB_FREE)) & (d < -tol)
+    return up.astype(float) - down
+
+
+def _lexmin(score, vindex, ok, bland):
+    """Position of the least (score, vindex) among the candidates flagged
+    ``ok``, or of the least vindex under Bland's rule; None if none."""
+    idx = np.flatnonzero(ok)
+    if idx.size == 0:
+        return None
+    if bland:
+        return int(idx[np.argmin(vindex[idx])])
+    return int(idx[np.lexsort((vindex[idx], score[idx]))[0]])
+
+
 @dataclass
 class Basis:
-    """Warm-start token: status markers for columns and row slacks."""
+    """Warm-start token: status markers for columns and row slacks.
+
+    ``row_ids`` ascend strictly (``snapshot_basis`` lists the alive slots in
+    slot order); ``load_basis`` looks rows up in it by binary search.
+    """
 
     col_status: np.ndarray          # int8, one per structural column
     row_ids: np.ndarray             # row ids the snapshot knows about
@@ -249,7 +273,16 @@ class LpModel:
         return list(range(first, self.n_cols))
 
     def set_bounds(self, col, lower, upper) -> None:
-        if lower > upper:
+        """Set the bounds of one column, or of an array of distinct columns
+        with bound arrays of the same length.
+
+        Raises ValueError, writing nothing, when any lower bound exceeds its
+        upper bound.  The iterate is re-derived once per call, so patching
+        every binary of a branch-and-bound node costs one kernel solve.
+        """
+        lower = np.broadcast_to(lower, np.shape(col))
+        upper = np.broadcast_to(upper, np.shape(col))
+        if np.any(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
         self.lb[col] = lower
         self.ub[col] = upper
@@ -324,11 +357,15 @@ class _Engine:
         cs[:k] = basis.col_status[:k]
         self.cs = cs
         self.ss[:] = BASIC
-        known = dict(zip(basis.row_ids.tolist(), basis.row_status.tolist()))
-        for slot in m.row_ids():
-            st = known.get(int(slot), BASIC)
-            self.ss[slot] = BASIC if st == BASIC else self._nb_slack_status(slot)
-        self._rebuild_sets()
+        # alive rows the snapshot lists as tight; rows it misses stay basic
+        alive, ids = m.row_ids(), basis.row_ids
+        pos = np.searchsorted(ids, alive)
+        listed = pos < ids.size
+        listed[listed] = ids[pos[listed]] == alive[listed]
+        tight = alive[listed][basis.row_status[pos[listed]] != BASIC]
+        self.ss[tight] = np.where(m._rel[tight] == GE, AT_UPPER, AT_LOWER)
+        self.S = tight.tolist()
+        self.T = np.flatnonzero(cs == BASIC).tolist()
         self._repair_counts()
         self._set_nonbasic_values()
         try:
@@ -350,11 +387,6 @@ class _Engine:
         if self.ss.size < cap:
             self.ss = np.concatenate(
                 [self.ss, np.zeros(cap - self.ss.size, dtype=np.int8)])
-
-    def _rebuild_sets(self):
-        alive = self.m.row_ids()
-        self.S = [int(i) for i in alive if self.ss[i] != BASIC]
-        self.T = [int(j) for j in np.flatnonzero(self.cs == BASIC)]
 
     def _repair_counts(self):
         # A valid basis pairs tight rows with basic columns one-to-one.
@@ -419,14 +451,22 @@ class _Engine:
         log.debug("releasing row %d failed: the next solve starts cold", slot)
 
     def bounds_changed(self, col):
+        """Follow bound edits on one column or an array of columns.
+
+        Only nonbasic values enter x, and the kernel A[S, T] does not depend
+        on bounds, so one recompute after a batch gives the x of one
+        recompute per edited column.
+        """
         if not self.valid:
             return
-        lo, hi = self.m.lb[col], self.m.ub[col]
-        if self.cs[col] == AT_LOWER and not np.isfinite(lo):
-            self.cs[col] = AT_UPPER if np.isfinite(hi) else NB_FREE
-        elif self.cs[col] == AT_UPPER and not np.isfinite(hi):
-            self.cs[col] = AT_LOWER if np.isfinite(lo) else NB_FREE
-        if self.cs[col] != BASIC:
+        st = self.cs[col]
+        lo_ok, hi_ok = np.isfinite(self.m.lb[col]), np.isfinite(self.m.ub[col])
+        new = np.where((st == AT_LOWER) & ~lo_ok,
+                       np.where(hi_ok, AT_UPPER, NB_FREE), st)
+        new = np.where((st == AT_UPPER) & ~hi_ok,
+                       np.where(lo_ok, AT_LOWER, NB_FREE), new)
+        self.cs[col] = new
+        if np.any(new != BASIC):
             self._set_nonbasic_values()
             try:
                 self._recompute_x()
@@ -485,43 +525,37 @@ class _Engine:
 
     # -- pricing ---------------------------------------------------------
     def _nonbasic_candidates(self):
+        """Nonbasic columns that can move and the positions in S of the
+        tight non-equality rows, whose slacks can move; then the variable
+        index (slacks after columns) and status of each, columns first."""
         m = self.m
         cols = np.flatnonzero((self.cs != BASIC) & (m.lb < m.ub))
-        slacks = [i for i in self.S if m._rel[i] != EQ]
-        return cols, slacks
+        S = np.asarray(self.S, dtype=np.intp)
+        pos = np.flatnonzero(m._rel[S] != EQ)
+        vindex = np.concatenate([cols, m.n_cols + S[pos]])
+        status = np.concatenate([self.cs[cols], self.ss[S[pos]]])
+        return cols, pos, vindex, status
 
-    def _reduced_costs(self, c, cols, slacks, y=None):
-        if y is None:
-            y = self._duals_kernel(c)
-        m = self.m
-        if len(cols):
-            d_cols = c[cols] - (m._A[np.ix_(self.S, cols)].T @ y
-                                if self.S else np.zeros(len(cols)))
-        else:
-            d_cols = np.zeros(0)
-        if slacks:
-            pos = {s: p for p, s in enumerate(self.S)}
-            d_slack = np.array([-y[pos[i]] for i in slacks])
-        else:
-            d_slack = np.zeros(0)
-        return d_cols, d_slack
+    def _variable(self, vindex):
+        """(kind, ref) of a variable index: a column, or a row's slack."""
+        n = self.m.n_cols
+        return ("col", int(vindex)) if vindex < n else ("slack", int(vindex - n))
+
+    def _reduced_costs(self, c, cols, pos):
+        """Reduced costs of the candidate columns, then of the slacks."""
+        y = self._duals_kernel(c)
+        d_cols = c[cols]
+        if self.S:
+            d_cols = d_cols - self.m._A[np.ix_(self.S, cols)].T @ y
+        return np.concatenate([d_cols, -y[pos]])
 
     def dual_feasible(self, c, tol=TOL_DUAL):
-        cols, slacks = self._nonbasic_candidates()
+        cols, pos, _, status = self._nonbasic_candidates()
         try:
-            d_cols, d_slack = self._reduced_costs(c, cols, slacks)
+            d = self._reduced_costs(c, cols, pos)
         except _KernelSingular:
             return False
-        for j, d in zip(cols, d_cols):
-            st = self.cs[j]
-            if ((st == AT_LOWER and d > tol) or (st == AT_UPPER and d < -tol)
-                    or (st == NB_FREE and abs(d) > tol)):
-                return False
-        for i, d in zip(slacks, d_slack):
-            st = self.ss[i]
-            if (st == AT_LOWER and d > tol) or (st == AT_UPPER and d < -tol):
-                return False
-        return True
+        return not _improving(status, d, tol).any()
 
     # -- ratio test and basis exchange ------------------------------------
     def _pivot_from_direction(self, kind, idx, sigma, dx, own_range, skip_slot=None):
@@ -605,37 +639,15 @@ class _Engine:
         m = self.m
         stall, bland = 0, False
         for _ in range(_MAX_PIVOTS):
-            cols, slacks = self._nonbasic_candidates()
-            y = self._duals_kernel(c)
-            d_cols, d_slack = self._reduced_costs(c, cols, slacks, y=y)
-            entering = None   # (key, kind, ref, sigma)
-            for j, d in zip(cols, d_cols):
-                st = self.cs[j]
-                if st == AT_LOWER and d > TOL_DUAL:
-                    sig = 1.0
-                elif st == AT_UPPER and d < -TOL_DUAL:
-                    sig = -1.0
-                elif st == NB_FREE and abs(d) > TOL_DUAL:
-                    sig = 1.0 if d > 0 else -1.0
-                else:
-                    continue
-                key = (int(j),) if bland else (-abs(d), int(j))
-                if entering is None or key < entering[0]:
-                    entering = (key, "col", int(j), sig)
-            for i, d in zip(slacks, d_slack):
-                st = self.ss[i]
-                if st == AT_LOWER and d > TOL_DUAL:
-                    sig = 1.0
-                elif st == AT_UPPER and d < -TOL_DUAL:
-                    sig = -1.0
-                else:
-                    continue
-                key = (m.n_cols + i,) if bland else (-abs(d), m.n_cols + i)
-                if entering is None or key < entering[0]:
-                    entering = (key, "slack", i, sig)
-            if entering is None:
+            cols, pos, vindex, status = self._nonbasic_candidates()
+            d = self._reduced_costs(c, cols, pos)
+            sig = _improving(status, d, TOL_DUAL)
+            # Dantzig's rule, lowest variable index on ties
+            pick = _lexmin(-np.abs(d), vindex, sig != 0, bland)
+            if pick is None:
                 return OPTIMAL
-            _, kind, ref, sigma = entering
+            sigma = float(sig[pick])
+            kind, ref = self._variable(vindex[pick])
             dx = np.zeros(m.n_cols)
             if kind == "col":
                 if self.S:
@@ -716,40 +728,22 @@ class _Engine:
                 w = self._ksolve(e, transpose=True)
                 base = None
 
-            cols, slacks = self._nonbasic_candidates()
-            y = self._duals_kernel(c)
-            d_cols, d_slack = self._reduced_costs(c, cols, slacks, y=y)
-            if len(cols):
-                proj = (m._A[np.ix_(self.S, cols)].T @ w if t else np.zeros(len(cols)))
-                alpha_cols = (base[cols] - proj) if base is not None else proj
+            cols, pos, vindex, status = self._nonbasic_candidates()
+            d = self._reduced_costs(c, cols, pos)
+            proj = m._A[np.ix_(self.S, cols)].T @ w if t else np.zeros(cols.size)
+            if base is not None:
+                alpha = np.concatenate([base[cols] - proj, -w[pos]])
             else:
-                alpha_cols = np.zeros(0)
-            pos_of = {slot: p for p, slot in enumerate(self.S)}
-            alpha_slk = np.array([(-w[pos_of[i]]) if base is not None else w[pos_of[i]]
-                                  for i in slacks]) if slacks else np.zeros(0)
-
-            entering = None  # (key, kind, ref)
-            def consider(vindex, kind, ref, st, d, alpha):
-                nonlocal entering
-                if abs(alpha) <= TOL_PIVOT:
-                    return
-                deltas = (1.0,) if st == AT_LOWER else (
-                    (-1.0,) if st == AT_UPPER else (1.0, -1.0))
-                for delta in deltas:
-                    # leaving basic moves at rate -alpha*delta per unit step
-                    if (-alpha * delta) * need <= TOL_PIVOT:
-                        continue
-                    key = (vindex,) if bland else (abs(d) / abs(alpha), vindex)
-                    if entering is None or key < entering[0]:
-                        entering = (key, kind, ref)
-
-            for j, d, a in zip(cols, d_cols, alpha_cols):
-                consider(int(j), "col", int(j), self.cs[j], d, a)
-            for i, d, a in zip(slacks, d_slack, alpha_slk):
-                consider(m.n_cols + i, "slack", i, self.ss[i], d, a)
-            if entering is None:
+                alpha = np.concatenate([proj, w[pos]])
+            # the leaving variable moves toward its violated bound at rate
+            # -alpha * need per unit increase of the entering one
+            ok = _improving(status, -alpha * need, TOL_PIVOT) != 0
+            # every candidate has |alpha| > TOL_PIVOT, so the floor changes no ratio
+            ratio = np.abs(d) / np.maximum(np.abs(alpha), TOL_PIVOT)
+            pick = _lexmin(ratio, vindex, ok, bland)
+            if pick is None:
                 return INFEASIBLE
-            _, kind, ref = entering
+            kind, ref = self._variable(vindex[pick])
 
             # exchange: the leaving variable snaps to its violated bound
             if lkind == "col":

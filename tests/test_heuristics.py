@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from ccsaa import lp
+from ccsaa import heuristics, lp
 from ccsaa.certificate import ScenarioBudget, max_removals
 from ccsaa.data import default_instance
 from ccsaa.errors import UnsupportedForMip
@@ -406,6 +406,25 @@ class TestRunMethod:
         risky = [j for j in range(sc.n_assets) if j != spec.cash_index]
         for j in risky:
             assert rep.x[j] <= 1e-5 or 0.30 - 1e-5 <= rep.x[j] <= 0.60 + 1e-5
+
+    def test_polish_gets_what_asm1_left_of_the_limit(self, monkeypatch):
+        sc, spec, _ = make_instance(25, n_scen=25, alpha=0.96)
+        budget = ScenarioBudget(25, 2, 1e-6)
+        seen = []
+
+        def polish(report, *args, time_limit=None, **kwargs):
+            seen.append((report.wall_time, time_limit))
+            return report
+
+        monkeypatch.setattr(heuristics, "polish_resolve", polish)
+        monkeypatch.setattr(heuristics, "polish_dual", polish)
+        for name in ("asm2", "asm3"):
+            run_method(name, sc, spec, budget, seed=3, time_limit=50.0)
+            run_method(name, sc, spec, budget, seed=3)
+        assert len(seen) == 4
+        for wall, limit in seen[0::2]:
+            assert wall > 0 and limit == 50.0 - wall
+        assert [limit for _, limit in seen[1::2]] == [None, None]
 
     def test_semi_continuous_dual_methods_refused(self):
         sc, spec, _ = make_instance(27)

@@ -323,3 +323,172 @@ class TestRecoveryCounters:
         assert "drifted out of feasibility" in caplog.text
         assert (m.stats.cold_resets, m.stats.detach_failures,
                 m.stats.bland_switches) == (0, 0, 0)
+
+
+def solved_pair(seed, n_vars=8, n_rows=10, ub=1.0):
+    """Two identical solved models: one to edit column by column, one in a
+    batch."""
+    rng = np.random.default_rng(seed)
+    c, A, rels, rhs, lb, _ = random_instance(rng, n_vars, n_rows)
+    ub = np.full(n_vars, ub)
+    models = [build(c, A, rels, rhs, lb, ub) for _ in range(2)]
+    for m in models:
+        assert lp_solve(m).status == lp.OPTIMAL
+    return models
+
+
+def engine_state(m):
+    eng = m._engine
+    return eng.x.tobytes(), eng.cs.tobytes(), eng.valid, m.lb.tobytes(), m.ub.tobytes()
+
+
+class TestBatchedBounds:
+    """One set_bounds call over an array of columns leaves the model and its
+    engine exactly as the same edits made one column at a time."""
+
+    def check(self, models, cols, lower, upper):
+        per_col, batch = models
+        for j, lo, hi in zip(cols, lower, upper):
+            per_col.set_bounds(int(j), lo, hi)
+        batch.set_bounds(np.asarray(cols), np.asarray(lower), np.asarray(upper))
+        assert engine_state(batch) == engine_state(per_col)
+        return batch._engine
+
+    def test_nonbasic_basic_and_mixed_batches(self):
+        mixed = 0
+        for seed in range(40):
+            models = solved_pair(seed)
+            cs = models[0]._engine.cs
+            basic = np.flatnonzero(cs == lp.BASIC)
+            nonbasic = np.flatnonzero(cs != lp.BASIC)
+            if not (basic.size and nonbasic.size):
+                continue
+            mixed += 1
+            for cols in (nonbasic, basic, np.arange(cs.size)):
+                rng = np.random.default_rng(seed)
+                lo = rng.uniform(0.0, 0.3, cols.size)
+                self.check(models, cols, lo, lo + rng.uniform(0.2, 0.7, cols.size))
+        assert mixed >= 10
+
+    def test_a_batch_moves_nonbasic_values_to_their_bounds(self):
+        models = solved_pair(3)
+        before = models[1]._engine.x.copy()
+        cols = np.flatnonzero(models[0]._engine.cs != lp.BASIC)
+        eng = self.check(models, cols, np.full(cols.size, 0.25),
+                         np.full(cols.size, 0.5))
+        assert not np.array_equal(eng.x, before)
+        assert np.all(eng.x[cols] == np.where(eng.cs[cols] == lp.AT_LOWER, 0.25, 0.5))
+
+    def test_moves_to_and_from_infinite_bounds(self):
+        models = solved_pair(5, ub=np.inf)
+        cs = models[0]._engine.cs.copy()
+        at_lower = np.flatnonzero(cs == lp.AT_LOWER)
+        assert at_lower.size >= 2
+        first, second = at_lower[:2]
+        # lower bound dropped: to AT_UPPER with a finite upper, else NB_FREE
+        cols = [first, second]
+        eng = self.check(models, cols, [-np.inf, -np.inf], [2.0, np.inf])
+        assert (eng.cs[first], eng.cs[second]) == (lp.AT_UPPER, lp.NB_FREE)
+        # upper bound dropped at AT_UPPER: to AT_LOWER, else NB_FREE
+        eng = self.check(models, [first], [0.25], [np.inf])
+        assert (eng.cs[first], eng.x[first]) == (lp.AT_LOWER, 0.25)
+        eng = self.check(models, [first], [-np.inf], [1.5])
+        assert (eng.cs[first], eng.x[first]) == (lp.AT_UPPER, 1.5)
+        eng = self.check(models, [first, second], [-np.inf, 0.0],
+                         [np.inf, 1.0])
+        assert (eng.cs[first], eng.x[first]) == (lp.NB_FREE, 0.0)
+
+    def test_an_inverted_pair_raises_and_writes_nothing(self):
+        _, m = solved_pair(7)
+        before = engine_state(m)
+        with pytest.raises(ValueError, match="exceeds"):
+            m.set_bounds(np.array([0, 1, 2]), np.array([0.1, 0.6, 0.0]),
+                         np.array([0.9, 0.5, 1.0]))
+        assert engine_state(m) == before
+
+
+def load_basis_by_rows(eng, basis):
+    """The per-row dict lookup that ``_Engine.load_basis`` replaced, kept as
+    the reference for its vectorised form."""
+    m = eng.m
+    eng._sync_slack_capacity()
+    cs = np.full(m.n_cols, lp.AT_LOWER, dtype=np.int8)
+    k = min(m.n_cols, basis.col_status.size)
+    cs[:k] = basis.col_status[:k]
+    eng.cs = cs
+    eng.ss[:] = lp.BASIC
+    known = dict(zip(basis.row_ids.tolist(), basis.row_status.tolist()))
+    for slot in m.row_ids():
+        st = known.get(int(slot), lp.BASIC)
+        eng.ss[slot] = lp.BASIC if st == lp.BASIC else eng._nb_slack_status(slot)
+    eng.S = [int(i) for i in m.row_ids() if eng.ss[i] != lp.BASIC]
+    eng.T = [int(j) for j in np.flatnonzero(eng.cs == lp.BASIC)]
+    eng._repair_counts()
+    eng._set_nonbasic_values()
+    try:
+        eng._recompute_x()
+    except lp._KernelSingular:
+        eng._recover_cold("loading a basis")
+    eng.valid = True
+
+
+class TestVectorisedBasisLoad:
+    def check(self, m, basis):
+        fast, ref = lp._Engine(m), lp._Engine(m)
+        fast.load_basis(basis)
+        load_basis_by_rows(ref, basis)
+        ns = m._n_slots
+        assert fast.S == ref.S and fast.T == ref.T
+        assert fast.ss[:ns].tobytes() == ref.ss[:ns].tobytes()
+        assert fast.cs.tobytes() == ref.cs.tobytes()
+        assert fast.x.tobytes() == ref.x.tobytes()
+        return fast
+
+    def snapshot(self, seed, n_rows=14):
+        rng = np.random.default_rng(seed)
+        c, A, rels, rhs, lb, ub = random_instance(rng, n_vars=6, n_rows=n_rows)
+        m = build(c, A, rels, rhs, lb, ub)
+        assert lp_solve(m).status == lp.OPTIMAL
+        return m, m._engine.snapshot_basis(), rng
+
+    def test_same_model(self):
+        for seed in range(20):
+            m, basis, _ = self.snapshot(seed)
+            eng = self.check(m, basis)
+            assert eng.S == sorted(eng.S) and eng.T == sorted(eng.T)
+
+    def test_rows_removed_since_the_snapshot(self):
+        tight_removed = 0
+        for seed in range(20):
+            m, basis, rng = self.snapshot(seed)
+            m._engine = None            # drop rows without release pivots
+            for rid in rng.choice(m.row_ids(), 5, replace=False):
+                tight_removed += basis.row_status[rid] != lp.BASIC
+                m.remove_row(int(rid))
+            self.check(m, basis)
+        assert tight_removed > 0
+
+    def test_rows_added_after_the_snapshot(self):
+        for seed in range(20):
+            m, basis, rng = self.snapshot(seed, n_rows=8)
+            for _ in range(4):
+                m.add_row(rng.normal(size=m.n_cols), "<=", 5.0)
+            self.check(m, basis)
+
+    def test_rows_the_basis_does_not_list(self):
+        # a basis from a model that lacked some rows between listed ones
+        missed_tight = 0
+        for seed in range(20):
+            m, basis, _ = self.snapshot(seed)
+            keep = np.arange(basis.row_ids.size) % 2 == 0
+            missed_tight += int(np.sum(basis.row_status[~keep] != lp.BASIC))
+            self.check(m, lp.Basis(basis.col_status, basis.row_ids[keep],
+                                   basis.row_status[keep]))
+        assert missed_tight > 0
+
+    def test_empty_basis(self):
+        m, _, _ = self.snapshot(1)
+        empty = lp.Basis(np.zeros(0, dtype=np.int8), np.zeros(0, dtype=np.int64),
+                         np.zeros(0, dtype=np.int8))
+        eng = self.check(m, empty)
+        assert eng.S == [] and eng.T == []

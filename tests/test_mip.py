@@ -7,8 +7,9 @@ from ccsaa import lp
 from ccsaa.certificate import ScenarioBudget
 from ccsaa.heuristics import run_method
 from ccsaa.lp import LpModel, lp_solve
-from ccsaa.mip import (MipModel, SemiContinuousSpec, apply_semicontinuous,
-                       big_m_values, build_saa_bigm, exact_mip, mip_solve)
+from ccsaa.mip import (MipModel, SemiContinuousSpec, _fractional,
+                       apply_semicontinuous, big_m_values, build_saa_bigm,
+                       exact_mip, mip_solve)
 from ccsaa.saa import (ChanceProgramSpec, ScenarioSet, build_saa_lp,
                        evaluate_outcomes)
 
@@ -205,6 +206,69 @@ class TestGapAndIntegrality:
         first = mip_solve(model)
         again = mip_solve(model, warm=first.x)
         assert again.objective_value == pytest.approx(first.objective_value, abs=1e-9)
+
+
+class TestNodeWork:
+    def test_first_most_fractional_binary(self):
+        x = np.array([0.5, 0.5, 0.875, 0.25, 0.0, 0.75, 1.0, 0.25, 0.125, 0.875])
+        assert _fractional(x, [2, 3, 5, 7, 9]) == 3    # 0.25 at 3, 5 and 7
+        assert _fractional(x, [2, 9]) == 2              # 0.125 at both
+        assert _fractional(np.array([0.0, 1.0, 1e-7, 1.0 - 1e-7]),
+                           [0, 1, 2, 3]) == -1
+        assert _fractional(x, []) == -1
+
+    def test_fractional_matches_a_scan(self):
+        def scan(x, binaries):
+            worst, pick = 1e-6, -1
+            for j in binaries:
+                f = min(abs(x[j]), abs(x[j] - 1.0))
+                if f > worst:
+                    worst, pick = f, j
+            return pick
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            x = rng.choice([0.0, 1.0, 0.25, 0.75, 0.5, 1e-7], size=12)
+            binaries = sorted(rng.choice(12, size=int(rng.integers(0, 13)),
+                                         replace=False).tolist())
+            assert _fractional(x, binaries) == scan(x, binaries)
+
+    def test_one_bound_patch_per_node(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        sc = gaussian_scenarios(rng, 30, np.array([1.06, 1.09]),
+                                np.array([0.12, 0.3]))
+        model = build_saa_bigm(sc, 0.96, 3, np.array([1.06, 1.09, 1.0]))
+        base = model.base
+        lower, upper = base.lb.copy(), base.ub.copy()
+        calls = []
+        set_bounds = LpModel.set_bounds
+
+        def record(self, col, lo, hi):
+            calls.append(np.array(col))
+            set_bounds(self, col, lo, hi)
+
+        monkeypatch.setattr(LpModel, "set_bounds", record)
+        res = mip_solve(model)
+        assert res.node_count > 3
+        # every solved node but the root, plus the final restore
+        assert len(calls) == res.node_count
+        assert all(np.array_equal(c, model.binaries) for c in calls)
+        assert np.array_equal(base.lb, lower) and np.array_equal(base.ub, upper)
+
+    def test_warm_incumbent_solve_is_kept(self, monkeypatch):
+        # an incumbent from the warm hint is solved once more at its fixings,
+        # which leaves the engine at its vertex for the next related solve
+        rng = np.random.default_rng(9)
+        sc = gaussian_scenarios(rng, 10, np.array([1.07]), np.array([0.25]))
+        model = build_saa_bigm(sc, 0.95, 1, np.array([1.07, 1.0]))
+        first = mip_solve(model)
+        solves = []
+        monkeypatch.setattr(lp, "lp_solve",
+                            lambda *a, **k: solves.append(1) or lp_solve(*a, **k))
+        again = mip_solve(model, warm=first.x)
+        assert again.objective_value == first.objective_value
+        assert again.lp_solves == again.node_count
+        assert len(solves) == again.lp_solves + 1
 
 
 class TestExactMipMethod:
