@@ -181,9 +181,11 @@ class _Master:
 
     # -- state at the last solution --------------------------------------
     def enforced_slack(self):
-        """Enforced scenarios and their r_i . x - alpha at the last solution."""
+        """Enforced scenarios and their r_i . x - alpha at the last solution.
+        One column-major product over all scenarios costs less than a gather
+        of the enforced rows, nearly all of them in the removal family."""
         idx = self.enforced
-        return idx, self.scenarios.returns[idx] @ self.x - self.spec.alpha
+        return idx, (self.scenarios.returns @ self.x)[idx] - self.spec.alpha
 
     def binding(self) -> list:
         """Enforced scenarios whose row is tight at the last solution."""

@@ -158,7 +158,7 @@ def _incumbent_valid(model: MipModel, x) -> bool:
     if np.any(_fractionality(x, model.binaries) > _INTEGRALITY_TOL):
         return False
     ids = base.row_ids()
-    vals = base._A[ids] @ x
+    vals = (base._A[: base._n_slots] @ x)[ids]
     rel = base._rel[ids]
     rhs = base._rhs[ids]
     bad = ((rel == lp.LE) & (vals > rhs + 1e-7)) | \

@@ -479,6 +479,16 @@ class TestMasterViews:
         assert ws.scenario_indices == idx.tolist()
         assert ws.row_ids == {int(i): int(master.row_of[i]) for i in idx}
 
+    def test_enforced_slack_is_each_rows_margin(self):
+        sc, spec, _ = make_instance(32, n_scen=80)
+        for members in ([5, 17, 60], range(3, 80)):
+            master = _Master(sc, spec, members)
+            master.solve()
+            idx, over = master.enforced_slack()
+            assert idx.tolist() == sorted(members)
+            want = np.array([sc.returns[i] @ master.x for i in idx]) - spec.alpha
+            assert np.allclose(over, want, rtol=0, atol=1e-12)
+
 
 class TestGoldenDraw:
     """Outputs on one default-instance draw, recorded before the master's

@@ -3,6 +3,8 @@ import pytest
 
 from ccsaa import lp
 from ccsaa.lp import LpModel, lp_solve, dual_objective
+from ccsaa.mip import build_saa_bigm, mip_solve
+from ccsaa.saa import ScenarioSet
 
 from oracles import vertex_enumeration_lp
 
@@ -492,3 +494,296 @@ class TestVectorisedBasisLoad:
                          np.zeros(0, dtype=np.int8))
         eng = self.check(m, empty)
         assert eng.S == [] and eng.T == []
+
+
+# ----------------------------------------------------------------------
+# the row screen: every screened evaluation against the full pass
+# ----------------------------------------------------------------------
+
+def full_slacks(eng):
+    m = eng.m
+    ns = m._n_slots
+    return m._rhs[:ns] - m._A[:ns] @ eng.x
+
+
+def basic_mask(eng):
+    ns = eng.m._n_slots
+    return eng.m._alive[:ns] & (eng.ss[:ns] == lp.BASIC)
+
+
+def full_ratio(eng, dx):
+    """The ratio test over every row slot that the screen replaced: the least
+    step of a basic slack to its limit and the smallest slot within _TIE."""
+    m = eng.m
+    ns = m._n_slots
+    ds, s = -(m._A[:ns] @ dx), full_slacks(eng)
+    slo, shi, mask = m._slo[:ns], m._shi[:ns], basic_mask(eng)
+    thetas = np.full(ns, np.inf)
+    down = mask & (ds < -lp.TOL_PIVOT) & np.isfinite(slo)
+    up = mask & (ds > lp.TOL_PIVOT) & np.isfinite(shi)
+    thetas[down] = np.maximum(s[down] - slo[down], 0.0) / (-ds[down])
+    thetas[up] = np.maximum(shi[up] - s[up], 0.0) / ds[up]
+    if not (down.any() or up.any()):
+        return np.inf, -1
+    theta = thetas.min()
+    return theta, int(np.flatnonzero(thetas <= theta + lp._TIE)[0])
+
+
+def full_leaving(eng, bland):
+    """The dual leaving row over every slot, and the summed violation."""
+    m = eng.m
+    ns = m._n_slots
+    s, mask = full_slacks(eng), basic_mask(eng)
+    below = np.where(mask, m._slo[:ns] - s, -np.inf)
+    above = np.where(mask, s - m._shi[:ns], -np.inf)
+    viol = np.maximum(below, above)
+    viol[viol < lp.TOL_FEAS] = 0.0
+    if viol.max(initial=0.0) <= 0.0:
+        return None, None, 0.0, 0.0
+    slot = int(np.flatnonzero(viol > 0.0)[0] if bland else np.argmax(viol))
+    return (slot, +1 if below[slot] >= above[slot] else -1,
+            float(viol[slot]), float(viol.sum()))
+
+
+def full_infeasibility(eng):
+    m = eng.m
+    ns = m._n_slots
+    v = 0.0
+    if eng.T:
+        xt = eng.x[eng.T]
+        v = max(v, float(np.max(np.maximum(m.lb[eng.T] - xt, 0.0))))
+        v = max(v, float(np.max(np.maximum(xt - m.ub[eng.T], 0.0))))
+    s, mask = full_slacks(eng), basic_mask(eng)
+    v = max(v, float(np.max(np.maximum(m._slo[:ns] - s, 0.0)[mask], initial=0.0)))
+    v = max(v, float(np.max(np.maximum(s - m._shi[:ns], 0.0)[mask], initial=0.0)))
+    return v
+
+
+class ScreenCheck:
+    """Compares each screened ratio test, dual leaving row and feasibility
+    check with the full pass over the same state.  Counts the rows the
+    screen evaluated (None for a full pass), and the screened evaluations
+    that included rows added since the anchor."""
+
+    def __init__(self, monkeypatch):
+        self.compared = self.with_added = 0
+        self.rows = []
+        E = lp._Engine
+        ratio, leaving, infeas, near = (E._slack_ratio, E._leaving_slack,
+                                        E._primal_infeasibility, E._near)
+
+        def checked_ratio(eng, dx):
+            want = full_ratio(eng, dx)
+            got = ratio(eng, dx)
+            assert got[1] == want[1]
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            self.compared += 1
+            return got
+
+        def checked_leaving(eng, bland):
+            want = full_leaving(eng, bland)
+            got = leaving(eng, bland)
+            assert got[:2] == want[:2]
+            assert got[2:] == pytest.approx(want[2:], rel=1e-12, abs=1e-15)
+            self.compared += 1
+            return got
+
+        def checked_infeasibility(eng):
+            want = full_infeasibility(eng)
+            got = infeas(eng)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            self.compared += 1
+            return got
+
+        def counted_near(eng, thr):
+            idx = near(eng, thr)
+            self.rows.append(None if thr is None else idx.size)
+            self.with_added += thr is not None and eng.m._n_slots > eng._ns0
+            return idx
+
+        monkeypatch.setattr(E, "_slack_ratio", checked_ratio)
+        monkeypatch.setattr(E, "_leaving_slack", checked_leaving)
+        monkeypatch.setattr(E, "_primal_infeasibility", checked_infeasibility)
+        monkeypatch.setattr(E, "_near", counted_near)
+
+    @property
+    def screened(self):
+        return sum(r is not None for r in self.rows)
+
+
+@pytest.fixture
+def screen(monkeypatch):
+    """Screen every model, however few its rows, and check each evaluation."""
+    monkeypatch.setattr(lp, "_SCREEN_MIN", 0)
+    return ScreenCheck(monkeypatch)
+
+
+def scenario_lp(rng, n_scen, n_assets=4):
+    """Scenario rows r.x >= 0.95 over unit-scale returns with a cash column
+    (the last) under the budget row sum(x) = 1, x >= 0."""
+    returns = 1.0 + rng.normal(0.04, 0.15, size=(n_scen, n_assets))
+    returns[:, -1] = 1.0
+    m = LpModel(rng.uniform(1.0, 1.1, n_assets))
+    m.add_row(np.ones(n_assets), "=", 1.0)
+    m.add_rows(returns, ">=", np.full(n_scen, 0.95))
+    return m, returns
+
+
+def release_binding(m, rng, rounds):
+    """Remove a binding row and re-solve, re-adding some removed rows as new
+    ones (the removal heuristics' edit pattern)."""
+    removed = []
+    for _ in range(rounds):
+        sol = lp_solve(m)
+        assert sol.status == lp.OPTIMAL
+        ids = m.row_ids()
+        ids = ids[m._rel[ids] != lp.EQ]
+        tight = ids[np.abs(sol.slacks_for(ids)) <= 1e-9]
+        if tight.size == 0:
+            break
+        rid = int(tight[rng.integers(tight.size)])
+        removed.append(m.row(rid))
+        m.remove_row(rid)
+        if rng.random() < 0.3:
+            a, rel, b, _ = removed.pop(0)
+            m.add_row(a, rel, b)
+    assert lp_solve(m).status == lp.OPTIMAL
+
+
+class TestScreen:
+    def test_random_lps_with_edits(self, screen):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            c, A, rels, rhs, lb, ub = random_instance(rng, n_vars=6, n_rows=60)
+            m = build(c, A, rels, rhs, lb, ub)
+            release_binding(m, rng, 8)
+        assert screen.compared > 200 and screen.screened > 50
+
+    def test_scenario_lp_with_budget_row(self, screen):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m, _ = scenario_lp(rng, 300)
+            release_binding(m, rng, 15)
+        assert screen.screened > 100
+
+    def test_rows_without_a_budget_row(self, screen):
+        # capacity rows r.x <= 1 in a box: sum(dx) moves freely, so the
+        # rho |sum v| term of the bound is live
+        for seed in range(4):
+            rng = np.random.default_rng(10 + seed)
+            m = LpModel(rng.uniform(0.5, 1.5, 4), upper=np.ones(4))
+            m.add_rows(1.0 + rng.normal(0.0, 0.15, size=(300, 4)), "<=",
+                       np.ones(300))
+            release_binding(m, rng, 15)
+        assert screen.screened > 100
+
+    def test_degenerate_ties(self, screen):
+        # every row twice or three times, then rows through the optimum
+        for seed in range(6):
+            rng = np.random.default_rng(20 + seed)
+            m, returns = scenario_lp(rng, 100)
+            m.add_rows(returns, ">=", np.full(100, 0.95))
+            m.add_rows(returns[:30], ">=", np.full(30, 0.95))
+            sol = lp_solve(m)
+            for a in rng.normal(1.0, 0.1, size=(20, 4)):
+                m.add_row(a, ">=", float(a @ sol.x))       # tight at x
+            m.obj = m.obj + rng.normal(0.0, 0.02, m.n_cols)
+            release_binding(m, rng, 40)
+        assert screen.screened > 50
+
+    def test_rows_of_zero_radius(self, screen):
+        # constant rows (h = 0), tight or not, are evaluated at every step
+        for seed in range(4):
+            rng = np.random.default_rng(30 + seed)
+            m, _ = scenario_lp(rng, 200)
+            m.add_row(np.ones(4), "<=", 1.0)
+            m.add_row(np.full(4, 0.5), ">=", 0.5)
+            m.add_row(np.zeros(4), "<=", 1.0)
+            release_binding(m, rng, 15)
+        assert screen.screened > 50
+
+    def test_rows_added_and_removed_after_the_anchor(self, screen):
+        rng = np.random.default_rng(40)
+        m, _ = scenario_lp(rng, 200)
+        assert lp_solve(m).status == lp.OPTIMAL
+        for _ in range(20):
+            new = 1.0 + rng.normal(0.0, 0.2, size=(6, 4))
+            new[:, -1] = 1.0
+            m.add_rows(new[:5], ">=", np.full(5, 0.97))
+            m.add_row(new[5], ">=", 0.97)
+            for rid in rng.choice(m.row_ids()[1:], size=4, replace=False):
+                m.remove_row(int(rid))
+            assert lp_solve(m).status == lp.OPTIMAL
+        assert screen.with_added > 10
+
+    def test_big_m_model(self, screen):
+        rng = np.random.default_rng(50)
+        returns = 1.0 + rng.normal(0.05, 0.2, size=(40, 3))
+        returns[:, -1] = 1.0
+        res = mip_solve(build_saa_bigm(ScenarioSet(returns), 0.95, 3,
+                                       np.array([1.06, 1.09, 1.0])))
+        assert res.status == lp.OPTIMAL
+        assert screen.compared > 100
+
+    def test_moves_that_meet_the_bound(self, screen):
+        # Rows (1 + h, 1 - h) against the budget row: the move (-t, t)
+        # lowers a.x by 2 h t = h |v|_1, the bound itself.  Each chosen row
+        # is moved just past its limit, and the ratio test runs along it.
+        rng = np.random.default_rng(55)
+        h = rng.uniform(0.05, 0.5, 400)
+        A = np.column_stack([1.0 + h, 1.0 - h])
+        x0 = np.array([0.5, 0.5])
+        gap = rng.uniform(0.01, 0.3, 400)
+        m = LpModel([1.0, 1.0])
+        m.add_row([1.0, 1.0], "=", 1.0)
+        m.add_rows(A, ">=", A @ x0 - gap)
+        assert lp_solve(m).status == lp.OPTIMAL
+        eng = m._engine
+        eng.x, eng._s = x0.copy(), None
+        assert eng._anchor() == 0.0
+        order = np.argsort(gap / h)
+        for i in order[:40]:
+            t = gap[i] / (2 * h[i]) + 1e-7
+            eng.x, eng._s = x0 + np.array([-t, t]), None
+            slot, *_ = eng._leaving_slack(False)
+            assert slot is not None and eng._primal_infeasibility() > 1e-9
+            eng._slack_ratio(np.array([-1.0, 1.0]))
+            assert eng._x0 is not None and eng._x0.tobytes() == x0.tobytes()
+        assert screen.screened >= 120
+
+    def test_the_screen_prunes(self, monkeypatch):
+        # removal rounds on 2,000 scenario rows, at the default sizes, after
+        # the cold solve; a full pass counts all 2,000 rows
+        check = ScreenCheck(monkeypatch)
+        rng = np.random.default_rng(60)
+        m, _ = scenario_lp(rng, 2000, n_assets=8)
+        assert lp_solve(m).status == lp.OPTIMAL
+        check.rows.clear()
+        release_binding(m, rng, 40)
+        rows = [2000 if r is None else r for r in check.rows]
+        assert len(rows) > 200
+        assert np.median(rows) < 2000 / 10 and np.mean(rows) < 2000 / 3
+
+
+class TestSolutionSlacks:
+    def test_slacks_are_rhs_minus_ax(self):
+        rng = np.random.default_rng(70)
+        m, _ = scenario_lp(rng, 300)
+        sol = lp_solve(m)
+        ids = m.row_ids()
+
+        def check():
+            want = m._rhs[ids] - m._A[ids] @ sol.x
+            assert np.allclose(sol.slacks_for(ids), want, rtol=0, atol=1e-12)
+            for rid in ids[::37]:
+                assert sol.slack(int(rid)) == pytest.approx(
+                    want[np.searchsorted(ids, rid)], abs=1e-12)
+
+        check()
+        for rid in ids[1::3]:
+            m.remove_row(int(rid))
+        check()
+        m.add_rows(rng.normal(1.0, 0.1, size=(2000, 4)), ">=", np.full(2000, 0.9))
+        check()
+        with pytest.raises(KeyError):
+            sol.slack(int(ids[-1]) + 1)

@@ -8,7 +8,7 @@ from ccsaa.certificate import ScenarioBudget
 from ccsaa.heuristics import run_method
 from ccsaa.lp import LpModel, lp_solve
 from ccsaa.mip import (MipModel, SemiContinuousSpec, _fractional,
-                       apply_semicontinuous, big_m_values, build_saa_bigm,
+                       _incumbent_valid, apply_semicontinuous, big_m_values, build_saa_bigm,
                        exact_mip, mip_solve)
 from ccsaa.saa import (ChanceProgramSpec, ScenarioSet, build_saa_lp,
                        evaluate_outcomes)
@@ -206,6 +206,22 @@ class TestGapAndIntegrality:
         first = mip_solve(model)
         again = mip_solve(model, warm=first.x)
         assert again.objective_value == pytest.approx(first.objective_value, abs=1e-9)
+
+
+class TestIncumbentScreen:
+    def test_one_violated_alive_row_rejects_and_dead_rows_do_not(self):
+        m = LpModel([1.0, 1.0, 0.0], upper=[1.0, 1.0, 1.0])
+        m.add_row([1.0, 1.0, 0.0], "<=", 1.5)
+        bad = m.add_row([1.0, -1.0, 0.0], ">=", 0.5)
+        m.add_row([0.0, 1.0, -1.0], "=", 0.0)
+        model = MipModel(base=m, binaries=[2])
+        x = np.array([0.5, 1.0, 1.0])        # 0.5 - 1.0 < 0.5 violates row 1
+        assert not _incumbent_valid(model, x)
+        m.remove_row(bad)
+        assert _incumbent_valid(model, x)
+        assert not _incumbent_valid(model, np.array([0.5, 1.0, 0.5]))  # fractional
+        assert not _incumbent_valid(model, np.array([0.6, 1.0, 1.0]))  # row 0
+        assert not _incumbent_valid(model, np.array([0.5, 1.0, 0.0]))  # row 2
 
 
 class TestNodeWork:
