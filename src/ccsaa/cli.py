@@ -214,21 +214,14 @@ def sweep_w(config: ExperimentConfig, w_values):
     for w in w_values:
         if not 0.0 <= w <= 1.0:
             raise ConfigError(f"w must lie in [0,1], got {w}")
-        rows, _ = run_experiment(replace(config, methods=["asm1"], w=w))
-        ok = [r for r in rows if r.status == STATUS_OK]
-        for N in config.n_grid:
-            sub = [r for r in ok if r.n_scenarios == N]
-            if not sub:
-                continue
+        _, aggs = run_experiment(replace(config, methods=["asm1"], w=w))
+        by_n = {a["n_scenarios"]: a for a in aggs}
+        for a in (by_n[N] for N in config.n_grid if N in by_n):
             out.append({
-                "w": w, "n_scenarios": N, "k": sub[0].k, "runs": len(sub),
-                "objective_mean": float(np.mean([r.objective for r in sub])),
-                "wall_time_mean": float(np.mean([r.wall_time for r in sub])),
-                "constraints_added_mean":
-                    float(np.mean([r.lp_solves - 1 for r in sub])),
-                "test_violation_rate_mean":
-                    float(np.mean([r.test_violation_rate for r in sub])),
-            })
+                "w": w, "constraints_added_mean": a["lp_solves_mean"] - 1,
+                **{c: a[c] for c in ("n_scenarios", "k", "runs",
+                                     "objective_mean", "wall_time_mean",
+                                     "test_violation_rate_mean")}})
     return out
 
 

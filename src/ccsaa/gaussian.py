@@ -26,7 +26,8 @@ import numpy as np
 
 from . import lp
 from ._normal import inv_norm_cdf, norm_cdf  # noqa: F401  (re-exported surface)
-from .errors import ConfigError, NotPositiveSemidefinite, NumericalFailure
+from .errors import (ConfigError, InfeasibleModel, NotPositiveSemidefinite,
+                     NumericalFailure)
 from .mip import MipModel, SemiContinuousSpec, apply_semicontinuous, mip_solve
 from .reports import SolveReport, WorkingSet
 from .saa import ScenarioSet
@@ -131,7 +132,8 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
     """Maximize mean return on the simplex at exact risk level ``eps``.
 
     ``semi`` switches the master to the indicator MIP; ``cash_index`` names
-    the column left out of the band (required with ``semi``).
+    the column left out of the band (required with ``semi``).  A master
+    that comes back other than optimal raises InfeasibleModel.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must be in (0,1)")
@@ -139,8 +141,8 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
     n = model.n_assets
     z = inv_norm_cdf(1.0 - eps)
     master = lp.LpModel(model.mean)
-    master.add_row(np.ones(n), "=", 1.0, label="budget")
-    master.add_row(model.mean - alpha, ">=", 0.0, label="floor")
+    master.add_row(np.ones(n), "=", 1.0)
+    master.add_row(model.mean - alpha, ">=", 0.0)
     mip_master = None
     if semi is not None:
         if cash_index is None:
@@ -164,12 +166,7 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
             lp_solves += 1
             status, x, obj = sol.status, sol.x, sol.objective_value
         if status != lp.OPTIMAL:
-            return SolveReport(method="socp" if semi is None else "socp-ip",
-                               x=np.full(n, np.nan), objective=float("nan"),
-                               working_set=WorkingSet([], {}), lp_solves=lp_solves,
-                               mip_nodes=mip_nodes,
-                               wall_time=time.perf_counter() - t0,
-                               train_violations=0, status=status)
+            raise InfeasibleModel(f"Gaussian master is {status}")
         x = x[:n]
         if z <= 0.0:
             break                     # quantile at or below zero: cone is vacuous
@@ -184,13 +181,13 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
             g = model.chol[:, int(np.argmax(norms))]
         coeffs = np.zeros(master.n_cols)
         coeffs[:n] = model.mean - z * g
-        master.add_row(coeffs, ">=", alpha, label=f"cut{cuts}")
+        master.add_row(coeffs, ">=", alpha)
         cuts += 1
     else:
         raise NumericalFailure("cutting-plane loop did not converge")
 
     return SolveReport(method="socp" if semi is None else "socp-ip",
                        x=x.copy(), objective=float(model.mean @ x),
-                       working_set=WorkingSet([], {}), lp_solves=lp_solves,
+                       working_set=WorkingSet(), lp_solves=lp_solves,
                        mip_nodes=mip_nodes, wall_time=time.perf_counter() - t0,
                        train_violations=0)

@@ -132,6 +132,8 @@ class _Master:
 
     # -- row management -------------------------------------------------
     def add(self, i: int):
+        if self.row_of[i] >= 0:
+            raise ValueError(f"scenario {i} is already enforced")
         self.row_of[i] = saa.add_scenario_row(self.model, self.scenarios,
                                               self.spec, i)
         p = np.searchsorted(self._listed, i)
@@ -211,9 +213,8 @@ class _Master:
         return idx, self._sol.duals_for(self.row_of[idx])
 
     def working_set(self, indices=None) -> WorkingSet:
-        idx = self.enforced if indices is None else np.asarray(indices, np.int64)
-        members = idx.tolist()
-        return WorkingSet(members, dict(zip(members, self.row_of[idx].tolist())))
+        idx = self.enforced if indices is None else indices
+        return WorkingSet(np.asarray(idx, np.int64).tolist())
 
     def report(self, method, obj, seed=None, status=STATUS_OK, extra_time=0.0,
                x=None, working_set=None, violations=None) -> SolveReport:

@@ -160,8 +160,8 @@ class LpSolution:
 class LpModel:
     """Mutable LP over a fixed column block and an editable set of rows.
 
-    Row ids are stable handles: assigned on ``add_row``, never reused, and
-    unaffected by the removal of other rows.
+    A row's id is its only identity: assigned on ``add_row``/``add_rows``,
+    never reused, and unaffected by the removal of other rows.
     """
 
     def __init__(self, objective, lower=None, upper=None):
@@ -183,8 +183,6 @@ class LpModel:
         self._slo, self._shi = np.zeros(cap), np.zeros(cap)   # fixed by _rel
         self._c, self._h = np.zeros(cap), np.zeros(cap)       # _spread of a row
         self._alive = np.zeros(cap, dtype=bool)
-        self._labels: list = [None] * cap
-        self._label_set: set = set()
         self._n_slots = 0
         self.stats = SolveStats()
         self._engine = None
@@ -204,49 +202,24 @@ class LpModel:
     def row(self, row_id: int):
         self._check_row(row_id)
         return (self._A[row_id].copy(), _REL_TEXT[int(self._rel[row_id])],
-                float(self._rhs[row_id]), self._labels[row_id])
+                float(self._rhs[row_id]))
 
     def _check_row(self, row_id):
         if not (0 <= row_id < self._n_slots and self._alive[row_id]):
             raise KeyError(f"unknown row id {row_id}")
 
     # ------------------------------------------------------------------
-    def add_row(self, coeffs, rel, rhs, label=None) -> int:
-        a = np.asarray(coeffs, dtype=float).ravel()
-        if a.shape != (self.n_cols,):
-            raise ValueError(f"row has dimension {a.size}, expected {self.n_cols}")
-        if not (np.all(np.isfinite(a)) and np.isfinite(rhs)):
-            raise ValueError("row coefficients and rhs must be finite")
-        code = _REL_CODES.get(rel)
-        if code is None:
-            raise ValueError(f"unknown relation {rel!r}")
-        slot = self._n_slots
-        if slot == self._A.shape[0]:
-            self._grow(max(2 * slot, 16))
-        if label is None:
-            label = f"r{slot}"
-        if label in self._label_set:
-            raise ValueError(f"duplicate row label {label!r}")
-        self._A[slot] = a
-        self._rhs[slot] = rhs
-        self._rel[slot] = code
-        self._slo[slot], self._shi[slot] = _SLACK_LIMS[code]
-        self._c[slot], self._h[slot] = _spread(a)
-        self._alive[slot] = True
-        self._labels[slot] = label
-        self._label_set.add(label)
-        self._n_slots += 1
-        if self._engine is not None:
-            self._engine.attach_row(slot)
-        return slot
+    def add_row(self, coeffs, rel, rhs) -> int:
+        return int(self.add_rows(np.reshape(coeffs, (1, -1)), rel, (rhs,))[0])
 
-    def add_rows(self, coeffs, rel, rhs, labels=None) -> np.ndarray:
+    def add_rows(self, coeffs, rel, rhs) -> np.ndarray:
         """Bulk append of rows sharing one relation; returns their ids."""
         A = np.asarray(coeffs, dtype=float)
         b = np.asarray(rhs, dtype=float).ravel()
         if A.ndim != 2 or A.shape != (b.size, self.n_cols):
-            raise ValueError("rows must be (m, n_cols) with matching rhs")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError(f"rows have shape {A.shape} and {b.size} rhs, "
+                             f"expected {self.n_cols} columns and one rhs each")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("row coefficients and rhs must be finite")
         code = _REL_CODES.get(rel)
         if code is None:
@@ -255,13 +228,6 @@ class LpModel:
         need = first + b.size
         if need > self._A.shape[0]:
             self._grow(max(need, 2 * self._A.shape[0]))
-        if labels is None:
-            labels = [f"r{first + i}" for i in range(b.size)]
-        for i, lab in enumerate(labels):
-            if lab in self._label_set:
-                raise ValueError(f"duplicate row label {lab!r}")
-            self._labels[first + i] = lab
-            self._label_set.add(lab)
         self._A[first:need] = A
         self._rhs[first:need] = b
         self._rel[first:need] = code
@@ -270,6 +236,7 @@ class LpModel:
         self._alive[first:need] = True
         self._n_slots = need
         if self._engine is not None:
+            # new rows enter with basic slacks
             self._engine._sync_slack_capacity()
             self._engine.ss[first:need] = BASIC
             self._engine._s = None
@@ -280,7 +247,6 @@ class LpModel:
         if self._engine is not None:
             self._engine.detach_row(row_id)
         self._alive[row_id] = False
-        self._label_set.discard(self._labels[row_id])
 
     def add_columns(self, objective, lower, upper) -> list:
         """Append structural columns (zero coefficients in existing rows)."""
@@ -326,7 +292,6 @@ class LpModel:
         self._c = np.concatenate([self._c, np.zeros(grow)])
         self._h = np.concatenate([self._h, np.zeros(grow)])
         self._alive = np.concatenate([self._alive, np.zeros(grow, dtype=bool)])
-        self._labels.extend([None] * grow)
 
     # ------------------------------------------------------------------
     def dump(self) -> str:
@@ -335,9 +300,9 @@ class LpModel:
                  "  " + " + ".join(f"{c:g} x{j}" for j, c in enumerate(self.obj)),
                  "subject to"]
         for rid in self.row_ids():
-            a, rel, b, label = self.row(rid)
+            a, rel, b = self.row(rid)
             body = " + ".join(f"{v:g} x{j}" for j, v in enumerate(a) if v != 0.0)
-            lines.append(f"  [{label}] {body} {rel} {b:g}")
+            lines.append(f"  [r{rid}] {body} {rel} {b:g}")
         lines.append("bounds")
         for j in range(self.n_cols):
             lines.append(f"  {self.lb[j]:g} <= x{j} <= {self.ub[j]:g}")
@@ -441,13 +406,6 @@ class _Engine:
         return NB_FREE
 
     # -- incremental edits ---------------------------------------------
-    def attach_row(self, slot):
-        if not self.valid:
-            return
-        self._sync_slack_capacity()
-        self.ss[slot] = BASIC           # new row enters with a basic slack
-        self._s = None
-
     def detach_row(self, slot):
         """Release one row ahead of its removal, keeping the point feasible.
 

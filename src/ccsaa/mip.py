@@ -90,14 +90,14 @@ def build_saa_bigm(scenarios: ScenarioSet, alpha: float, k: int,
                        lower=np.zeros(n + N),
                        upper=np.concatenate([np.full(n, np.inf), np.ones(N)]))
     ones = np.concatenate([np.ones(n), np.zeros(N)])
-    model.add_row(ones, "=", 1.0, label="budget")
+    model.add_row(ones, "=", 1.0)
     for s in range(N):
         row = np.zeros(n + N)
         row[:n] = scenarios.returns[s]
         row[n + s] = M[s]
-        model.add_row(row, ">=", alpha, label=f"s{s}")
+        model.add_row(row, ">=", alpha)
     card = np.concatenate([np.zeros(n), np.ones(N)])
-    model.add_row(card, "<=", float(k), label="cardinality")
+    model.add_row(card, "<=", float(k))
     return MipModel(base=model, binaries=list(range(n, n + N)),
                     gap_tolerance=gap_tolerance)
 
@@ -123,11 +123,11 @@ def apply_semicontinuous(model: MipModel, spec: SemiContinuousSpec,
         lo_row = np.zeros(base.n_cols)
         lo_row[j] = 1.0
         lo_row[y] = -spec.lower
-        base.add_row(lo_row, ">=", 0.0, label=f"semi_lo_{j}")
+        base.add_row(lo_row, ">=", 0.0)
         hi_row = np.zeros(base.n_cols)
         hi_row[j] = 1.0
         hi_row[y] = -spec.upper
-        base.add_row(hi_row, "<=", 0.0, label=f"semi_hi_{j}")
+        base.add_row(hi_row, "<=", 0.0)
         model.semicontinuous_cols[j] = y
         model.binaries.append(y)
     model.binaries = sorted(set(model.binaries))
@@ -217,7 +217,6 @@ def mip_solve(model: MipModel, warm=None,
     stack = []     # dive stack, used until the first incumbent
     tie = 0
     stack.append((root_bound, {}, root.basis, root))
-    best_bound = root_bound
     hit_limit = False
 
     while stack or heap:
@@ -276,12 +275,9 @@ def mip_solve(model: MipModel, warm=None,
                 heapq.heappush(heap, (-sol.objective_value, tie, child,
                                       sol.basis.copy()))
 
-    if heap and not hit_limit:
-        best_bound = max(incumbent_obj, -heap[0][0])
-    elif heap:
-        best_bound = max(best_bound, -heap[0][0])
-    else:
-        best_bound = incumbent_obj if incumbent_x is not None else best_bound
+    # the best open node bounds what the search left unexplored
+    best_bound = max([incumbent_obj] + [-e[0] for e in heap]
+                     + [e[0] for e in stack])
 
     restore()
     lp_solves = base.stats.solves - solves_before
@@ -328,7 +324,7 @@ def exact_mip(scenarios: ScenarioSet, spec, budget, semi=None,
         objective = float(spec.objective @ x)
     return SolveReport(
         method="exact-mip", x=x, objective=objective,
-        working_set=WorkingSet([], {}), lp_solves=res.lp_solves,
+        working_set=WorkingSet(), lp_solves=res.lp_solves,
         mip_nodes=res.node_count, wall_time=time.perf_counter() - t0,
         train_violations=evaluate_outcomes(x, scenarios, spec).violation_count,
         seed=seed,

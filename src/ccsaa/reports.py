@@ -11,10 +11,9 @@ STATUS_CAP = "cap_exceeded"
 
 @dataclass
 class WorkingSet:
-    """Scenario indices currently enforced as rows, with their row handles."""
+    """Scenario indices enforced as rows at the end of a solve."""
 
     scenario_indices: list = field(default_factory=list)
-    row_ids: dict = field(default_factory=dict)     # scenario index -> row id
 
     def __post_init__(self):
         if len(set(self.scenario_indices)) != len(self.scenario_indices):
@@ -24,7 +23,7 @@ class WorkingSet:
         return len(self.scenario_indices)
 
     def copy(self) -> "WorkingSet":
-        return WorkingSet(list(self.scenario_indices), dict(self.row_ids))
+        return WorkingSet(list(self.scenario_indices))
 
 
 @dataclass

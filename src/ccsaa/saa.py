@@ -13,8 +13,6 @@ import numpy as np
 from . import lp
 from .certificate import ScenarioBudget
 
-BUDGET_LABEL = "budget"
-
 # An outcome counts as a violation only beyond the LP feasibility tolerance:
 # binding rows at an optimum evaluate to zero only up to rounding, and a row
 # the solver holds satisfied must not be counted violated by the evaluator.
@@ -142,20 +140,13 @@ def _descending(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def scenario_row(scenarios: ScenarioSet, spec: ChanceProgramSpec, index: int):
-    """Row data (coeffs, relation, rhs, label) enforcing scenario ``index``."""
-    return scenarios.returns[index], ">=", spec.alpha, f"s{index}"
-
-
 def add_scenario_row(model: lp.LpModel, scenarios: ScenarioSet,
                      spec: ChanceProgramSpec, index: int) -> int:
-    coeffs, rel, rhs, label = scenario_row(scenarios, spec, index)
-    if model.n_cols > coeffs.size:
-        # master models may carry extra columns (indicator binaries)
-        padded = np.zeros(model.n_cols)
-        padded[: coeffs.size] = coeffs
-        coeffs = padded
-    return model.add_row(coeffs, rel, rhs, label=label)
+    """Append the row ``r_index . x >= alpha``, zero on any extra columns
+    (the indicator binaries of master models); returns its row id."""
+    coeffs = np.zeros(model.n_cols)
+    coeffs[: scenarios.n_assets] = scenarios.returns[index]
+    return model.add_row(coeffs, ">=", spec.alpha)
 
 
 def build_saa_lp(scenarios: ScenarioSet, spec: ChanceProgramSpec,
@@ -171,14 +162,13 @@ def build_saa_lp(scenarios: ScenarioSet, spec: ChanceProgramSpec,
     if spec.n_assets != scenarios.n_assets:
         raise ValueError("objective dimension does not match scenarios")
     model = lp.LpModel(spec.objective)          # x >= 0 by default
-    model.add_row(np.ones(scenarios.n_assets), "=", 1.0, label=BUDGET_LABEL)
+    model.add_row(np.ones(scenarios.n_assets), "=", 1.0)
     if subset is None:
         subset = range(scenarios.n_scenarios)
     idx = np.fromiter((int(i) for i in subset), dtype=np.int64)
     if idx.size:
         model.add_rows(scenarios.returns[idx], ">=",
-                       np.full(idx.size, spec.alpha),
-                       labels=[f"s{i}" for i in idx])
+                       np.full(idx.size, spec.alpha))
     return model
 
 

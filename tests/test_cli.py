@@ -388,6 +388,18 @@ class TestCommandLine:
         assert rc == 4
         assert "infeasible" in capsys.readouterr().err
 
+    def test_solve_socp_infeasible_exit_code(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({
+            "names": ["a", "b"], "mean": [1.01, 1.02],
+            "covariance": [[0.01, 0], [0, 0.02]], "alpha": 1.5,
+            "epsilon": 0.05, "beta": 0.001}))
+        rc = main(["solve", "--instance", str(inst_path), "--method", "socp",
+                   "--n-scenarios", "2000", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "infeasible" in captured.err and captured.out == ""
+
     def test_ingest(self, tmp_path, capsys):
         prices = tmp_path / "prices.csv"
         rng = np.random.default_rng(0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccsaa._normal import norm_cdf
-from ccsaa.errors import ConfigError, NotPositiveSemidefinite
+from ccsaa.errors import ConfigError, InfeasibleModel, NotPositiveSemidefinite
 from ccsaa.gaussian import (GaussianModel, cholesky, inv_norm_cdf,
                             sample_scenarios, solve_gaussian_exact)
 from ccsaa.mip import SemiContinuousSpec
@@ -172,11 +172,12 @@ class TestExactBaseline:
             objs = xs @ mean
             ok = z * sig <= objs - alpha
             want = objs[ok].max() if ok.any() else None
-            rep = solve_gaussian_exact(m, alpha, eps)
             if want is None:
-                assert rep.status != "ok" or rep.objective != rep.objective
+                with pytest.raises(InfeasibleModel):
+                    solve_gaussian_exact(m, alpha, eps)
             else:
-                assert rep.objective == pytest.approx(want, abs=1e-6)
+                assert solve_gaussian_exact(m, alpha, eps).objective == \
+                    pytest.approx(want, abs=1e-6)
 
     def test_tighter_covariance_never_helps(self):
         rng = np.random.default_rng(8)
@@ -205,6 +206,15 @@ class TestExactBaseline:
             assert rep.x[j] <= 1e-6 or 0.05 - 1e-6 <= rep.x[j] <= 0.30 + 1e-6
         with pytest.raises(ConfigError):
             solve_gaussian_exact(m, 0.95, 0.05, semi=band)
+
+    def test_infeasible_master_raises(self):
+        # the floor alpha = 1.5 lies above every mean return
+        m = GaussianModel([1.01, 1.02], np.diag([0.01, 0.02]))
+        with pytest.raises(InfeasibleModel):
+            solve_gaussian_exact(m, 1.5, 0.05)
+        with pytest.raises(InfeasibleModel):
+            solve_gaussian_exact(m, 1.5, 0.05, semi=SemiContinuousSpec(0.1, 0.9),
+                                 cash_index=1)
 
     def test_violation_probability_helper(self):
         m = self.one_risky(1.1, 0.3)

@@ -477,7 +477,19 @@ class TestMasterViews:
         assert np.array_equal(pis, master._sol.duals_for(master.row_of[idx]))
         ws = master.working_set()
         assert ws.scenario_indices == idx.tolist()
-        assert ws.row_ids == {int(i): int(master.row_of[i]) for i in idx}
+
+    def test_adding_an_enforced_scenario_raises(self):
+        sc, spec, _ = make_instance(33, n_scen=20)
+        master = _Master(sc, spec, [2, 7])
+        master.add(11)
+        rows = master.model.n_rows
+        for i in (2, 7, 11):
+            with pytest.raises(ValueError):
+                master.add(i)
+            assert master.model.n_rows == rows
+        master.remove(7)
+        master.add(7)
+        assert master.model.n_rows == rows
 
     def test_enforced_slack_is_each_rows_margin(self):
         sc, spec, _ = make_instance(32, n_scen=80)

@@ -5,6 +5,8 @@ import pytest
 
 from ccsaa import lp
 from ccsaa.certificate import ScenarioBudget
+from ccsaa.data import default_instance
+from ccsaa.gaussian import sample_scenarios
 from ccsaa.heuristics import run_method
 from ccsaa.lp import LpModel, lp_solve
 from ccsaa.mip import (MipModel, SemiContinuousSpec, _fractional,
@@ -138,7 +140,7 @@ class TestSemiContinuous:
     def build_one_risky(self, mean, l, u):
         # columns: risky asset, cash (both objective = mean of returns)
         m = LpModel([mean, 1.0])
-        m.add_row([1.0, 1.0], "=", 1.0, label="budget")
+        m.add_row([1.0, 1.0], "=", 1.0)
         mm = MipModel(base=m, binaries=[])
         apply_semicontinuous(mm, SemiContinuousSpec(l, u), columns=[0])
         return mm
@@ -206,6 +208,19 @@ class TestGapAndIntegrality:
         first = mip_solve(model)
         again = mip_solve(model, warm=first.x)
         assert again.objective_value == pytest.approx(first.objective_value, abs=1e-9)
+
+    def test_gap_at_time_limit_is_measured_from_the_open_nodes(self):
+        # a zero limit leaves the root open above the warm all-cash
+        # incumbent, so the gap is the root bound's lead over it
+        inst = default_instance()
+        sc = sample_scenarios(inst.model, 200, 7)
+        model = build_saa_bigm(sc, inst.alpha, 4, inst.program_spec.objective)
+        warm = np.zeros(model.base.n_cols)
+        warm[inst.cash_index] = 1.0
+        res = mip_solve(model, warm=warm, time_limit=0.0)
+        assert (res.status, res.objective_value) == ("time_limit", 1.0)
+        assert res.root_bound == pytest.approx(1.14970, abs=1e-5)
+        assert res.gap == pytest.approx(res.root_bound - 1.0, abs=1e-12)
 
 
 class TestIncumbentScreen:
