@@ -26,9 +26,8 @@ import numpy as np
 
 from . import lp
 from ._normal import inv_norm_cdf, norm_cdf  # noqa: F401  (re-exported surface)
-from .errors import (ConfigError, InfeasibleModel, NotPositiveSemidefinite,
-                     NumericalFailure)
-from .mip import MipModel, SemiContinuousSpec, apply_semicontinuous, mip_solve
+from .errors import InfeasibleModel, NotPositiveSemidefinite, NumericalFailure
+from .mip import MipModel, SemiContinuousSpec, banded, mip_solve
 from .reports import SolveReport, WorkingSet
 from .saa import ScenarioSet
 
@@ -127,8 +126,7 @@ def sample_scenarios(model: GaussianModel, count: int, seed) -> ScenarioSet:
 
 def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
                          semi: SemiContinuousSpec | None = None,
-                         cash_index: int | None = None,
-                         gap_tolerance: float = 1e-4) -> SolveReport:
+                         cash_index: int | None = None) -> SolveReport:
     """Maximize mean return on the simplex at exact risk level ``eps``.
 
     ``semi`` switches the master to the indicator MIP; ``cash_index`` names
@@ -143,13 +141,8 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
     master = lp.LpModel(model.mean)
     master.add_row(np.ones(n), "=", 1.0)
     master.add_row(model.mean - alpha, ">=", 0.0)
-    mip_master = None
-    if semi is not None:
-        if cash_index is None:
-            raise ConfigError("semi-continuous master needs the cash column index")
-        mip_master = MipModel(base=master, binaries=[], gap_tolerance=gap_tolerance)
-        apply_semicontinuous(mip_master, semi,
-                             [j for j in range(n) if j != cash_index])
+    mip_master = None if semi is None else banded(
+        MipModel(base=master, binaries=[]), semi, n, cash_index)
 
     lp_solves = 0
     mip_nodes = 0

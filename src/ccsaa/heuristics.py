@@ -38,14 +38,14 @@ import numpy as np
 from . import lp, saa
 from .certificate import ScenarioBudget
 from .errors import CapExceeded, ConfigError, InfeasibleModel, UnsupportedForMip
-from .mip import (MipModel, SemiContinuousSpec, apply_semicontinuous,
-                  exact_mip, mip_solve)
+from .mip import MipModel, SemiContinuousSpec, banded, exact_mip, mip_solve
 from .reports import (STATUS_CAP, STATUS_OK, STATUS_TIME_LIMIT, SolveReport,
                       WorkingSet)
 from .saa import ChanceProgramSpec, ScenarioSet, evaluate_outcomes
 
 BINDING_TOL_LP = 1e-7
 BINDING_TOL_MIP = 1e-1      # integer masters detect binding rows loosely
+MAX_ROUNDS = 100_000        # cap on constraint additions, a runaway guard
 
 
 @dataclass
@@ -54,21 +54,17 @@ class AsmConfig:
 
     ``w`` steers which ranked violation gets added: 1.0 picks the (k+1)-th
     most violated, 0.0 the least violated.  ``polish_iterations`` defaults to
-    the decision dimension when unset.  ``max_rounds`` caps constraint
-    additions as a runaway guard.
+    the decision dimension when unset.
     """
 
     w: float = 0.5
     polish_iterations: int | None = None
-    max_rounds: int = 100_000
 
     def __post_init__(self):
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0,1]")
         if self.polish_iterations is not None and self.polish_iterations < 1:
             raise ValueError("polish_iterations must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
     def resolved_iterations(self, n_assets: int) -> int:
         return self.polish_iterations if self.polish_iterations is not None else n_assets
@@ -95,14 +91,9 @@ class _Master:
         self.row_of[subset] = np.arange(1, subset.size + 1)
         self._listed = np.flatnonzero(self.row_of >= 0)   # may list removed
         self._pending = set()       # added scenarios not yet listed
-        self.mip = None
-        if semi is not None:
-            if spec.cash_index is None:
-                raise ConfigError("semi-continuous runs need spec.cash_index")
-            self.mip = MipModel(base=self.model, binaries=[])
-            apply_semicontinuous(self.mip, semi,
-                                 [j for j in range(scenarios.n_assets)
-                                  if j != spec.cash_index])
+        self.mip = None if semi is None else banded(
+            MipModel(base=self.model, binaries=[]), semi, scenarios.n_assets,
+            spec.cash_index)
         self.binding_tol = BINDING_TOL_MIP if self.mip else BINDING_TOL_LP
         self.solves = 0
         self.mip_nodes = 0
@@ -301,8 +292,8 @@ def dual_greedy_removal(scenarios, spec, budget: ScenarioBudget,
 # the insertion family
 # ----------------------------------------------------------------------
 
-def _insert(scenarios, spec, method, pick, cfg: AsmConfig, semi=None,
-            seed=None, time_limit=None):
+def _insert(scenarios, spec, method, pick, semi=None, seed=None,
+            time_limit=None):
     """Solve the empty master, then enforce ``pick(out)``, the scenario
     chosen from the outcomes at the last solution, and re-solve, until it
     returns None: (master, objective, violation count, status) at the end."""
@@ -313,7 +304,7 @@ def _insert(scenarios, spec, method, pick, cfg: AsmConfig, semi=None,
         i = pick(out)
         if i is None:
             return master, obj, out.violation_count, STATUS_OK
-        if additions >= cfg.max_rounds:
+        if additions >= MAX_ROUNDS:
             raise CapExceeded(
                 f"{method}: addition cap exceeded",
                 report=master.report(method, obj, seed=seed, status=STATUS_CAP,
@@ -325,8 +316,7 @@ def _insert(scenarios, spec, method, pick, cfg: AsmConfig, semi=None,
 
 
 def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
-                     seed=None, semi=None, cfg: AsmConfig | None = None,
-                     time_limit=None) -> SolveReport:
+                     seed=None, semi=None, time_limit=None) -> SolveReport:
     """PND / FPND reconstruction.
 
     Pooling adds the most violated scenario and re-solves until the iterate
@@ -347,7 +337,7 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
     master, obj, violations, status = _insert(
         scenarios, spec, method,
         lambda out: out.kth_ranked(1)[1] if out.violation_count > k else None,
-        cfg or AsmConfig(), semi=semi, seed=seed, time_limit=time_limit)
+        semi=semi, seed=seed, time_limit=time_limit)
     if status != STATUS_OK:
         return master.report(method, obj, seed=seed, status=status,
                              violations=violations)
@@ -394,7 +384,7 @@ def active_set(scenarios, spec, budget: ScenarioBudget,
         return int(ranked[min(max(j, k + 1), ranked.size) - 1])
 
     master, obj, violations, status = _insert(
-        scenarios, spec, "asm1", pick, cfg, semi=semi, seed=seed,
+        scenarios, spec, "asm1", pick, semi=semi, seed=seed,
         time_limit=time_limit)
     return master.report("asm1", obj, seed=seed, status=status,
                          violations=violations)
@@ -530,8 +520,7 @@ def run_method(name: str, scenarios, spec, budget: ScenarioBudget,
                                    time_limit=time_limit)
     if name in ("pnd", "fpnd"):
         return pool_and_discard(scenarios, spec, budget, fast=(name == "fpnd"),
-                                seed=seed, semi=semi, cfg=cfg,
-                                time_limit=time_limit)
+                                seed=seed, semi=semi, time_limit=time_limit)
     base = active_set(scenarios, spec, budget, cfg=cfg, semi=semi,
                       time_limit=time_limit, seed=seed)
     if name == "asm1":

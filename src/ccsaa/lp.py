@@ -43,7 +43,6 @@ TOL_FEAS = 1e-9
 TOL_DUAL = 1e-9
 TOL_PIVOT = 1e-10
 _TIE = 1e-12
-_BLAND_AFTER = 100       # consecutive degenerate steps before Bland's rule
 _MAX_PIVOTS = 200_000
 
 # Row screen (see _Engine._anchor)
@@ -118,7 +117,7 @@ class SolveStats:
     seconds: float = 0.0
     cold_resets: int = 0        # singular kernel -> cold restart
     detach_failures: int = 0    # row release failed -> next solve starts cold
-    bland_switches: int = 0     # degenerate stall -> Bland's rule
+    bland_switches: int = 0     # a phase came back to a basis -> Bland's rule
     repairs: int = 0            # optimum drifted out of feasibility -> re-run
 
 
@@ -335,9 +334,7 @@ class _Engine:
 
     # -- construction / loading ---------------------------------------
     def cold_reset(self):
-        m = self.m
-        self.cs = np.where(np.isfinite(m.lb), AT_LOWER,
-                           np.where(np.isfinite(m.ub), AT_UPPER, NB_FREE)).astype(np.int8)
+        self.cs = self._rest_status(slice(None), False)
         self._sync_slack_capacity()
         self.ss[:] = BASIC
         self.S = []
@@ -387,23 +384,22 @@ class _Engine:
                 [self.ss, np.zeros(cap - self.ss.size, dtype=np.int8)])
 
     def _repair_counts(self):
-        # A valid basis pairs tight rows with basic columns one-to-one.
-        while len(self.T) > len(self.S):
-            j = self.T.pop()
-            self.cs[j] = self._nearest_bound_status(j)
-        while len(self.S) > len(self.T):
-            slot = self.S.pop()
-            self.ss[slot] = BASIC
+        # A valid basis pairs tight rows with basic columns one-to-one: the
+        # surplus at the end of T rests at its nearer bound, that of S turns basic.
+        k = min(len(self.S), len(self.T))
+        j = np.asarray(self.T[k:], dtype=np.intp)
+        xj, m = self.x[j], self.m
+        self.cs[j] = self._rest_status(j, np.abs(xj - m.lb[j]) > np.abs(xj - m.ub[j]))
+        self.ss[self.S[k:]] = BASIC
+        del self.S[k:], self.T[k:]
 
-    def _nearest_bound_status(self, j):
-        lo, hi = self.m.lb[j], self.m.ub[j]
-        if np.isfinite(lo) and np.isfinite(hi):
-            return AT_LOWER if abs(self.x[j] - lo) <= abs(self.x[j] - hi) else AT_UPPER
-        if np.isfinite(lo):
-            return AT_LOWER
-        if np.isfinite(hi):
-            return AT_UPPER
-        return NB_FREE
+    def _rest_status(self, cols, upper):
+        """Status of nonbasic columns at rest: at the upper bound where
+        ``upper`` holds and that bound is finite, else at a finite lower
+        bound, else at a finite upper one, else free at zero."""
+        lo, hi = np.isfinite(self.m.lb[cols]), np.isfinite(self.m.ub[cols])
+        return np.where(hi & (upper | ~lo), AT_UPPER,
+                        np.where(lo, AT_LOWER, NB_FREE)).astype(np.int8)
 
     # -- incremental edits ---------------------------------------------
     def detach_row(self, slot):
@@ -420,20 +416,11 @@ class _Engine:
             self._s = None
             return
         try:
-            pos = self.S.index(slot)
-            y = self._duals_kernel(self.m.obj)
-            d = -y[pos]
+            d = -self._duals_kernel(self.m.obj)[self.S.index(slot)]
+            self._begin("release")
             for sigma in ((1.0, -1.0) if abs(d) <= TOL_DUAL
                           else ((1.0,) if d > 0 else (-1.0,))):
-                e = np.zeros(len(self.T))
-                e[pos] = 1.0
-                dx = np.zeros(self.m.n_cols)
-                dx[self.T] = sigma * (-self._ksolve(e))
-                outcome = self._pivot_from_direction(
-                    kind="slack", idx=slot, sigma=sigma, dx=dx,
-                    own_range=np.inf)
-                if outcome is not None:
-                    self._s = None
+                if self._primal_step("slack", slot, sigma):
                     return
         except (_KernelSingular, np.linalg.LinAlgError):
             pass
@@ -451,11 +438,7 @@ class _Engine:
         if not self.valid:
             return
         st = self.cs[col]
-        lo_ok, hi_ok = np.isfinite(self.m.lb[col]), np.isfinite(self.m.ub[col])
-        new = np.where((st == AT_LOWER) & ~lo_ok,
-                       np.where(hi_ok, AT_UPPER, NB_FREE), st)
-        new = np.where((st == AT_UPPER) & ~hi_ok,
-                       np.where(lo_ok, AT_LOWER, NB_FREE), new)
+        new = np.where(st == BASIC, BASIC, self._rest_status(col, st == AT_UPPER))
         self.cs[col] = new
         if np.any(new != BASIC):
             self._set_nonbasic_values()
@@ -682,13 +665,28 @@ class _Engine:
             return np.inf, -1
         return theta, int(idx[np.flatnonzero(thetas <= theta + _TIE)[0]])
 
-    def _pivot_from_direction(self, kind, idx, sigma, dx, own_range):
-        """Primal ratio test for a unit move of the entering variable along
-        ``dx``; applies the winning pivot or bound flip.
-
-        Returns the step length, or None when the ray is unbounded.
-        """
+    def _direction(self, kind, ref, sigma):
+        """Move of x per unit move of the nonbasic variable (kind, ref) in
+        direction ``sigma``, the other tight rows held, and the length of its
+        own box (inf for a slack: it leaves its finite limit outward)."""
         m = self.m
+        dx = np.zeros(m.n_cols)
+        if kind == "col":
+            if self.S:
+                dx[self.T] = sigma * (-self._ksolve(m._A[self.S, ref]))
+            dx[ref] = sigma
+            return dx, m.ub[ref] - m.lb[ref]
+        e = np.zeros(len(self.T))
+        e[self.S.index(ref)] = 1.0
+        dx[self.T] = sigma * (-self._ksolve(e))
+        return dx, np.inf
+
+    def _primal_step(self, kind, ref, sigma):
+        """Primal ratio test for a unit move of the entering variable;
+        applies the winning pivot or bound flip.  False when the ray is
+        unbounded."""
+        m = self.m
+        dx, own_range = self._direction(kind, ref, sigma)
 
         # blockers among basic structural columns (small set)
         col_theta, col_pick, col_status = np.inf, -1, AT_LOWER
@@ -707,87 +705,79 @@ class _Engine:
         # blockers among basic slacks (the entering slack is nonbasic)
         slk_theta, slk_pick = self._slack_ratio(dx)
 
-        # lowest variable index wins ties (columns index below slacks)
         best_theta = min(col_theta, slk_theta)
-        if np.isinf(best_theta) and not np.isfinite(own_range):
-            return None
+        if np.isinf(best_theta) and np.isinf(own_range):
+            return False
         if own_range < best_theta - _TIE:
-            # entering variable crosses its own box: bound flip, basis kept
-            self.x += dx * own_range
-            if kind == "col":
-                self.cs[idx] = AT_UPPER if sigma > 0 else AT_LOWER
-                self.x[idx] = m.ub[idx] if sigma > 0 else m.lb[idx]
+            # entering column crosses its own box: bound flip, basis kept
+            self.cs[ref] = AT_UPPER if sigma > 0 else AT_LOWER
+            self._set_nonbasic_values()
             self._recompute_x()
-            return own_range
+        elif col_theta <= slk_theta + _TIE:
+            # lowest variable index wins ties (columns index below slacks)
+            self._exchange(("col", col_pick), col_status, (kind, ref))
+        else:
+            self._exchange(("slack", slk_pick), None, (kind, ref))
+        return True
 
-        use_col = col_theta <= slk_theta + _TIE and col_pick >= 0
-        if use_col and slk_pick >= 0 and slk_theta < col_theta - _TIE:
-            use_col = False
-        theta = max(min(col_theta, slk_theta), 0.0)
-        self.x += dx * theta
-        if use_col:
-            self.T.remove(col_pick)
-            self.cs[col_pick] = col_status
-            self.x[col_pick] = m.lb[col_pick] if col_status == AT_LOWER else m.ub[col_pick]
+    def _exchange(self, leave, status, enter):
+        """Basis exchange: ``leave`` turns nonbasic (a column at ``status``,
+        a slack at its row's limit) and ``enter`` basic; then the nonbasic
+        values are reset, x re-derived and the pivot counted.  A basis that
+        comes back within a phase switches the phase to Bland's rule, under
+        which the simplex cannot cycle."""
+        self._seen.add(self._basis_key())
+        (lkind, lref), (kind, ref) = leave, enter
+        if lkind == "col":
+            self.T.remove(lref)
+            self.cs[lref] = status
         else:
-            self.ss[slk_pick] = self._nb_slack_status(slk_pick)
-            self.S.append(slk_pick)
+            self.ss[lref] = self._nb_slack_status(lref)
+            self.S.append(lref)
         if kind == "col":
-            self.cs[idx] = BASIC
-            self.T.append(idx)
+            self.cs[ref] = BASIC
+            self.T.append(ref)
         else:
-            self.ss[idx] = BASIC
-            self.S.remove(idx)
+            self.ss[ref] = BASIC
+            self.S.remove(ref)
+        self._set_nonbasic_values()
         self._recompute_x()
-        m.stats.pivots += 1
-        return theta
+        self.m.stats.pivots += 1
+        if not self._bland and self._basis_key() in self._seen:
+            self._bland = True
+            self.m.stats.bland_switches += 1
+            log.debug("%s simplex came back to a basis: switching to Bland's rule",
+                      self._phase)
+
+    def _begin(self, phase):
+        """Start a phase (or a row release) under the usual pivot rules."""
+        self._phase, self._bland, self._seen = phase, False, set()
+
+    def _basis_key(self):
+        return tuple(sorted(self.S)), tuple(sorted(self.T))
 
     # -- primal simplex ----------------------------------------------------
     def primal(self, c):
-        m = self.m
-        stall, bland = 0, False
+        self._begin("primal")
         for _ in range(_MAX_PIVOTS):
             cols, pos, vindex, status = self._nonbasic_candidates()
             d = self._reduced_costs(c, cols, pos)
             sig = _improving(status, d, TOL_DUAL)
             # Dantzig's rule, lowest variable index on ties
-            pick = _lexmin(-np.abs(d), vindex, sig != 0, bland)
+            pick = _lexmin(-np.abs(d), vindex, sig != 0, self._bland)
             if pick is None:
                 return OPTIMAL
-            sigma = float(sig[pick])
             kind, ref = self._variable(vindex[pick])
-            dx = np.zeros(m.n_cols)
-            if kind == "col":
-                if self.S:
-                    dx[self.T] = sigma * (-self._ksolve(m._A[self.S, ref]))
-                dx[ref] = sigma
-                rng = m.ub[ref] - m.lb[ref]
-                own_range = rng if np.isfinite(rng) else np.inf
-            else:
-                e = np.zeros(len(self.T))
-                e[self.S.index(ref)] = 1.0
-                dx[self.T] = sigma * (-self._ksolve(e))
-                own_range = np.inf    # slack leaves its finite bound outward
-            theta = self._pivot_from_direction(kind, ref, sigma, dx, own_range)
-            if theta is None:
+            if not self._primal_step(kind, ref, float(sig[pick])):
                 return UNBOUNDED
-            stall = stall + 1 if theta <= _TIE else 0
-            if stall > _BLAND_AFTER and not bland:
-                bland = self._switch_to_bland("primal")
         raise NumericalFailure("primal simplex exceeded the pivot cap")
-
-    def _switch_to_bland(self, phase):
-        self.m.stats.bland_switches += 1
-        log.debug("%s simplex stalled: switching to Bland's rule", phase)
-        return True
 
     # -- dual simplex -------------------------------------------------------
     def dual(self, c):
         m = self.m
-        stall, bland = 0, False
-        last_total = np.inf
+        self._begin("dual")
         for _ in range(_MAX_PIVOTS):
-            lref, need, best_v, total = self._leaving_slack(bland)
+            lref, need, best_v = self._leaving_slack(self._bland)
             lkind = None if lref is None else "slack"
             # basic columns, in T's order: the first most violated one when
             # it beats the slack, or the smallest violated index under Bland
@@ -796,20 +786,13 @@ class _Engine:
             low = xt < lo - TOL_FEAS
             v = np.where(low, lo - xt, np.where(xt > hi + TOL_FEAS, xt - hi, 0.0))
             if v.max(initial=0.0) > 0.0:
-                at = int(np.argmin(np.where(v > 0.0, T, T.max() + 1)) if bland
+                at = int(np.argmin(np.where(v > 0.0, T, T.max() + 1)) if self._bland
                          else np.argmax(v))
-                if bland or v[at] > best_v:
+                if self._bland or v[at] > best_v:
                     lkind, lref, best_v = "col", int(T[at]), float(v[at])
                     need = +1 if low[at] else -1
             if lkind is None:
                 return "feasible"
-            # added one by one, in T's order, as cumsum does
-            terms = np.maximum(lo - xt, 0.0) + np.maximum(xt - hi, 0.0)
-            total = float(np.cumsum(np.concatenate([[total], terms]))[-1])
-            stall = stall + 1 if total >= last_total - _TIE else 0
-            last_total = total
-            if stall > _BLAND_AFTER and not bland:
-                bland = self._switch_to_bland("dual")
 
             # pivot row of the leaving variable over nonbasic candidates
             t = len(self.T)
@@ -834,47 +817,29 @@ class _Engine:
             ok = _improving(status, -alpha * need, TOL_PIVOT) != 0
             # every candidate has |alpha| > TOL_PIVOT, so the floor changes no ratio
             ratio = np.abs(d) / np.maximum(np.abs(alpha), TOL_PIVOT)
-            pick = _lexmin(ratio, vindex, ok, bland)
+            if self._bland:     # only the least ratios keep the dual feasible
+                ok &= ratio <= ratio[ok].min(initial=np.inf) + _TIE
+            pick = _lexmin(ratio, vindex, ok, self._bland)
             if pick is None:
                 return INFEASIBLE
-            kind, ref = self._variable(vindex[pick])
-
-            # exchange: the leaving variable snaps to its violated bound
-            if lkind == "col":
-                self.T.remove(lref)
-                self.cs[lref] = AT_LOWER if need > 0 else AT_UPPER
-            else:
-                self.ss[lref] = self._nb_slack_status(lref)
-                self.S.append(lref)
-            if kind == "col":
-                self.cs[ref] = BASIC
-                self.T.append(ref)
-            else:
-                self.ss[ref] = BASIC
-                self.S.remove(ref)
-            self._set_nonbasic_values()
-            self._recompute_x()
-            m.stats.pivots += 1
+            # the leaving variable snaps to its violated bound
+            self._exchange((lkind, lref), AT_LOWER if need > 0 else AT_UPPER,
+                           self._variable(vindex[pick]))
         raise NumericalFailure("dual simplex exceeded the pivot cap")
 
     def _leaving_slack(self, bland):
         """The basic slack to leave: the first most violated row, or the
         first violated one under Bland's rule.  Returns (slot, need,
-        violation, total), slot None when no row is violated; total sums the
-        violations of all rows as one vector over the ns slots, so it has
-        the bits of a full pass."""
+        violation), slot None when no row is violated."""
         m = self.m
         idx, s = self._basic_slacks()
         below, above = m._slo[idx] - s, s - m._shi[idx]
         viol = np.maximum(below, above)
         viol[viol < TOL_FEAS] = 0.0
         if not viol.any():
-            return None, None, 0.0, 0.0
+            return None, None, 0.0
         at = int(np.flatnonzero(viol > 0.0)[0] if bland else np.argmax(viol))
-        every = np.zeros(m._n_slots)
-        every[idx] = viol
-        return (int(idx[at]), +1 if below[at] >= above[at] else -1,
-                float(viol[at]), float(every.sum()))
+        return int(idx[at]), +1 if below[at] >= above[at] else -1, float(viol[at])
 
     # -- driver -----------------------------------------------------------
     def _primal_infeasibility(self):

@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .errors import InfeasibleModel
+from .errors import ConfigError, InfeasibleModel
 from .reports import STATUS_OK, STATUS_TIME_LIMIT, SolveReport, WorkingSet
 from .saa import ScenarioSet, evaluate_outcomes
 
 _INTEGRALITY_TOL = 1e-6
-DEFAULT_GAP = 1e-4
+GAP = 1e-4          # relative gap at which branch-and-bound stops
 DEFAULT_TIME_LIMIT = 3600.0
 
 
@@ -47,12 +47,9 @@ class SemiContinuousSpec:
 class MipModel:
     base: lp.LpModel
     binaries: list
-    gap_tolerance: float = DEFAULT_GAP
     semicontinuous_cols: dict = field(default_factory=dict)   # col -> indicator
 
     def __post_init__(self):
-        if self.gap_tolerance <= 0:
-            raise ValueError("gap_tolerance must be positive")
         self.binaries = sorted(int(j) for j in set(self.binaries))
         for j in self.binaries:
             if not (self.base.lb[j] >= 0.0 and self.base.ub[j] <= 1.0):
@@ -77,7 +74,7 @@ def big_m_values(scenarios: ScenarioSet, alpha: float) -> np.ndarray:
 
 
 def build_saa_bigm(scenarios: ScenarioSet, alpha: float, k: int,
-                   objective, gap_tolerance: float = DEFAULT_GAP) -> MipModel:
+                   objective) -> MipModel:
     """Exact N-scenario, k-discard model with one binary per scenario."""
     c = np.asarray(objective, dtype=float).ravel()
     N, n = scenarios.n_scenarios, scenarios.n_assets
@@ -98,8 +95,7 @@ def build_saa_bigm(scenarios: ScenarioSet, alpha: float, k: int,
         model.add_row(row, ">=", alpha)
     card = np.concatenate([np.zeros(n), np.ones(N)])
     model.add_row(card, "<=", float(k))
-    return MipModel(base=model, binaries=list(range(n, n + N)),
-                    gap_tolerance=gap_tolerance)
+    return MipModel(base=model, binaries=list(range(n, n + N)))
 
 
 def apply_semicontinuous(model: MipModel, spec: SemiContinuousSpec,
@@ -132,6 +128,16 @@ def apply_semicontinuous(model: MipModel, spec: SemiContinuousSpec,
         model.binaries.append(y)
     model.binaries = sorted(set(model.binaries))
     return fresh
+
+
+def banded(model: MipModel, semi: SemiContinuousSpec, n_assets: int,
+           cash_index: int | None) -> MipModel:
+    """``model`` with each of its first ``n_assets`` columns but cash in
+    ``semi``'s band; raises ConfigError without a cash column."""
+    if cash_index is None:
+        raise ConfigError("semi-continuous models need the cash column index")
+    apply_semicontinuous(model, semi, [j for j in range(n_assets) if j != cash_index])
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +217,7 @@ def mip_solve(model: MipModel, warm=None,
     root_bound = root.objective_value
 
     def gap_abs():
-        return model.gap_tolerance * max(1.0, abs(incumbent_obj))
+        return GAP * max(1.0, abs(incumbent_obj))
 
     heap = []      # (-bound, tie, patch, basis)
     stack = []     # dive stack, used until the first incumbent
@@ -313,8 +319,7 @@ def exact_mip(scenarios: ScenarioSet, spec, budget, semi=None,
     model = build_saa_bigm(scenarios, spec.alpha, budget.k_removals,
                            spec.objective)
     if semi is not None:
-        apply_semicontinuous(model, semi, [j for j in range(scenarios.n_assets)
-                                           if j != spec.cash_index])
+        banded(model, semi, scenarios.n_assets, spec.cash_index)
     res = mip_solve(model, time_limit=time_limit)
     if res.status not in (lp.OPTIMAL, "time_limit"):
         raise InfeasibleModel(f"exact big-M model is {res.status}")

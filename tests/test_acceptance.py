@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from ccsaa import mip
 from ccsaa.certificate import RiskSpec, ScenarioBudget, cg_log_beta, max_removals
 from ccsaa.cli import ExperimentConfig, run_experiment
 from ccsaa.data import default_instance
@@ -131,7 +132,9 @@ class TestCriterion1ReferenceGrid:
 
 
 class TestCriterion2OracleEquivalence:
-    def test_exact_matches_enumeration_and_heuristics_bracketed(self):
+    def test_exact_matches_enumeration_and_heuristics_bracketed(self, monkeypatch):
+        # branch-and-bound to a 1e-9 gap, so that it finds the optimum
+        monkeypatch.setattr(mip, "GAP", 1e-9)
         with criterion("criterion-2 oracle-equivalence"):
             t0 = time.perf_counter()
             budget = ScenarioBudget(40, 2, 1e-6)
@@ -139,8 +142,7 @@ class TestCriterion2OracleEquivalence:
                 scenarios, spec = tiny_gaussian_instance(seed)
                 want = leave_two_out_best(scenarios, spec)
                 res = mip_solve(build_saa_bigm(scenarios, spec.alpha, 2,
-                                               spec.objective,
-                                               gap_tolerance=1e-9))
+                                               spec.objective))
                 assert res.objective_value == pytest.approx(want, abs=1e-6), \
                     f"seed={seed}"
                 lo = solve_full(scenarios, spec).objective

@@ -6,7 +6,7 @@ import pytest
 from ccsaa import heuristics, lp
 from ccsaa.certificate import ScenarioBudget, max_removals
 from ccsaa.data import default_instance
-from ccsaa.errors import UnsupportedForMip
+from ccsaa.errors import ConfigError, UnsupportedForMip
 from ccsaa.gaussian import GaussianModel, sample_scenarios
 from ccsaa.heuristics import (AsmConfig, _largest_dual, _Master, active_set,
                               dual_greedy_removal, greedy_removal,
@@ -210,7 +210,7 @@ class TestActiveSet:
         assert rep.lp_solves == 1
         assert len(rep.working_set) == 0
 
-    def test_w_one_adds_kplus1_ranked(self):
+    def test_w_one_adds_kplus1_ranked(self, monkeypatch):
         from ccsaa.errors import CapExceeded
         sc, spec, _ = make_instance(21, n_scen=40, alpha=0.99)
         budget = ScenarioBudget(40, 2, 1e-6)
@@ -220,10 +220,12 @@ class TestActiveSet:
         assert out.ranked.size > 3    # instance sanity: the loop must engage
         expected_first = int(out.ranked[2])      # rank k+1 = 3rd, 1-based
         # cap additions at one so the working set exposes the first pick
-        try:
-            rep = active_set(sc, spec, budget, cfg=AsmConfig(w=1.0, max_rounds=1))
-        except CapExceeded as exc:
-            rep = exc.report
+        with monkeypatch.context() as patch:
+            patch.setattr(heuristics, "MAX_ROUNDS", 1)
+            try:
+                rep = active_set(sc, spec, budget, cfg=AsmConfig(w=1.0))
+            except CapExceeded as exc:
+                rep = exc.report
         assert rep.working_set.scenario_indices == [expected_first]
         full = active_set(sc, spec, budget, cfg=AsmConfig(w=1.0))
         assert certify(full.x, sc, budget, spec)
@@ -426,6 +428,18 @@ class TestRunMethod:
             assert wall > 0 and limit == 50.0 - wall
         assert [limit for _, limit in seen[1::2]] == [None, None]
 
+    def test_band_without_a_cash_column_is_refused(self):
+        # every banded model leaves the cash column out of the band, so each
+        # needs one
+        inst = default_instance()
+        spec = ChanceProgramSpec(inst.alpha, inst.model.mean, cash_index=None)
+        sc = sample_scenarios(inst.model, 200, 3)
+        budget = ScenarioBudget(200, 2, float("nan"))
+        for name in ("asm1", "exact-mip"):
+            with pytest.raises(ConfigError, match="cash"):
+                run_method(name, sc, spec, budget, seed=3,
+                           semi=SemiContinuousSpec(0.05, 0.30))
+
     def test_semi_continuous_dual_methods_refused(self):
         sc, spec, _ = make_instance(27)
         budget = ScenarioBudget(30, 2, 1e-6)
@@ -561,6 +575,18 @@ class TestGoldenDraw:
             rep, kept = self.run(name, banded=True)
             assert (repr(rep.objective), rep.lp_solves, rep.mip_nodes,
                     rep.train_violations, kept) == expected, name
+
+
+class TestCyclingDraw:
+    def test_grp_finishes_certified_on_draw_301(self):
+        # the dual simplex cycled here until the pivot cap; a basis that
+        # comes back now switches it to Bland's rule
+        inst = default_instance()
+        budget = max_removals(10_000, inst.risk_spec)
+        sc = sample_scenarios(inst.model, 10_000, 301)
+        rep = run_method("grp", sc, inst.program_spec, budget)
+        assert rep.status == "ok"
+        assert certify(rep.x, sc, budget, inst.program_spec)
 
 
 class TestWallTime:

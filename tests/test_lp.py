@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ccsaa import lp
+from scipy.optimize import linprog
+
+from ccsaa import default_instance, lp, sample_scenarios
 from ccsaa.lp import LpModel, lp_solve, dual_objective
 from ccsaa.mip import build_saa_bigm, mip_solve
-from ccsaa.saa import ScenarioSet
+from ccsaa.saa import ScenarioSet, build_saa_lp
 
 from oracles import vertex_enumeration_lp
 
@@ -22,6 +24,14 @@ def random_instance(rng, n_vars=5, n_rows=8):
     lb = np.zeros(n_vars)
     ub = np.ones(n_vars)
     return c, A, rels, rhs, lb, ub
+
+
+# rows of sample_scenarios(default_instance().model, 10000, 7)
+CYCLING_ROWS = [1306, 1587, 1698, 1839, 1924, 2046, 2055, 2120, 2122, 2177,
+                2308, 2454, 2552, 2565, 2781, 2788, 3145, 3147, 3232, 3270,
+                3345, 3734, 3797, 3973, 4117, 4179, 4286, 4294, 4599, 5024,
+                5313, 6098, 6454, 6465, 6588, 6653, 7124, 7173, 7546, 7617,
+                8244, 8435, 8463, 8519, 8839, 8981, 9252, 9829, 9934]
 
 
 def build(c, A, rels, rhs, lb, ub):
@@ -305,16 +315,23 @@ class TestRecoveryCounters:
         assert lp_solve(m).status == lp.UNBOUNDED
         assert (m.stats.cold_resets, m.stats.bland_switches) == (0, 0)
 
-    def test_degenerate_stall_switches_to_bland(self, monkeypatch, caplog):
-        # from the origin, x0 entering is blocked at once by x0 - x1 <= 0
-        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
-        m = LpModel([1.0, 1.0])
-        m.add_row([1.0, -1.0], "<=", 0.0)
-        m.add_row([1.0, 1.0], "<=", 2.0)
+    def test_cycling_dual_switches_to_bland(self, caplog):
+        # 49 scenario rows on which the dual simplex cycled under Dantzig's
+        # rule until the pivot cap: its basis comes back, and Bland's rule
+        # then finishes at the HiGHS optimum
+        scen = sample_scenarios(default_instance().model, 10000, 7)
+        spec = default_instance().program_spec
+        m = build_saa_lp(scen, spec, subset=CYCLING_ROWS)
         with caplog.at_level("DEBUG", logger="ccsaa"):
             sol = lp_solve(m)
-        assert sol.objective_value == pytest.approx(2.0, abs=1e-12)
-        assert m.stats.bland_switches == 1
+        R = scen.returns[CYCLING_ROWS]
+        highs = linprog(-spec.objective, A_ub=-R,
+                        b_ub=np.full(len(CYCLING_ROWS), -spec.alpha),
+                        A_eq=np.ones((1, R.shape[1])), b_eq=[1.0],
+                        bounds=(0, None), method="highs")
+        assert sol.status == lp.OPTIMAL and highs.status == 0
+        assert sol.objective_value == pytest.approx(-highs.fun, abs=1e-9)
+        assert m.stats.bland_switches >= 1
         assert "Bland" in caplog.text
         assert (m.stats.cold_resets, m.stats.detach_failures) == (0, 0)
 
@@ -340,6 +357,102 @@ class TestRecoveryCounters:
         assert "drifted out of feasibility" in caplog.text
         assert (m.stats.cold_resets, m.stats.detach_failures,
                 m.stats.bland_switches) == (0, 0, 0)
+
+
+class TestBlandDual:
+    def test_bland_entering_keeps_the_dual_feasible(self, monkeypatch):
+        # Bland's rule from the first pivot of every phase; each dual phase
+        # re-solves after a row that cuts through the optimum
+        begin, dual = lp._Engine._begin, lp._Engine.dual
+        ends = []
+
+        def bland_begin(eng, phase):
+            begin(eng, phase)
+            eng._bland = True
+
+        def checked_dual(eng, c):
+            result = dual(eng, c)
+            if result == "feasible":
+                ends.append(eng.dual_feasible(c))
+            return result
+
+        monkeypatch.setattr(lp._Engine, "_begin", bland_begin)
+        monkeypatch.setattr(lp._Engine, "dual", checked_dual)
+        rng = np.random.default_rng(90)
+        for _ in range(300):
+            m = LpModel(rng.normal(size=6), upper=np.ones(6))
+            m.add_rows(rng.uniform(0.0, 1.0, (10, 6)), "<=",
+                       rng.uniform(1.0, 3.0, 10))
+            x = lp_solve(m).x
+            a = rng.normal(size=6)
+            m.add_row(a, "<=", float(a @ x) - rng.uniform(0.05, 0.5))
+            lp_solve(m)
+        assert len(ends) > 200 and all(ends)
+
+
+# The three at-bound rules that _Engine._rest_status replaced, as references.
+def cold_reset_rule(lo, hi, x):
+    return (lp.AT_LOWER if np.isfinite(lo)
+            else lp.AT_UPPER if np.isfinite(hi) else lp.NB_FREE)
+
+
+def nearest_bound_rule(lo, hi, x):
+    if np.isfinite(lo) and np.isfinite(hi):
+        return lp.AT_LOWER if abs(x - lo) <= abs(x - hi) else lp.AT_UPPER
+    return cold_reset_rule(lo, hi, x)
+
+
+def bounds_changed_rule(st, lo, hi):
+    if st == lp.AT_LOWER and not np.isfinite(lo):
+        return lp.AT_UPPER if np.isfinite(hi) else lp.NB_FREE
+    if st == lp.AT_UPPER and not np.isfinite(hi):
+        return lp.AT_LOWER if np.isfinite(lo) else lp.NB_FREE
+    return st
+
+
+class TestRestStatus:
+    """Each (bounds, x) case is one column: finite and infinite bounds on
+    each side, x at, between and beyond them."""
+
+    BOUNDS = [(0.0, 1.0), (2.0, 2.0), (0.0, np.inf), (-np.inf, 1.0),
+              (-np.inf, np.inf)]
+    XS = [-0.5, 0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5]
+
+    def engine(self):
+        cases = [(lo, hi, x) for lo, hi in self.BOUNDS for x in self.XS]
+        lo, hi, x = map(np.array, zip(*cases))
+        m = LpModel(np.ones(x.size), lower=lo, upper=hi)
+        m._engine = eng = lp._Engine(m)
+        eng.cold_reset()
+        eng.x = x.copy()
+        return eng, cases
+
+    def test_cold_reset(self):
+        eng, cases = self.engine()
+        assert eng.cs.tolist() == [cold_reset_rule(*c) for c in cases]
+
+    def test_repaired_basis_rests_at_the_nearest_bound(self):
+        eng, cases = self.engine()
+        eng.T = list(range(len(cases)))
+        eng.cs[:] = lp.BASIC
+        eng._repair_counts()
+        assert eng.T == [] and eng.S == []
+        assert eng.cs.tolist() == [nearest_bound_rule(*c) for c in cases]
+
+    def test_bound_edits_keep_the_side_while_it_is_finite(self):
+        eng, cases = self.engine()
+        m = eng.m
+        for st in (lp.AT_LOWER, lp.AT_UPPER, lp.BASIC):
+            eng.cs[:] = st
+            cols = np.arange(len(cases))
+            m.set_bounds(cols, m.lb.copy(), m.ub.copy())
+            assert eng.cs.tolist() == [bounds_changed_rule(st, lo, hi)
+                                       for lo, hi, _ in cases]
+        # a free column given a finite bound now rests at it, inside its box
+        eng.cs[:] = lp.NB_FREE
+        m.set_bounds(np.arange(len(cases)), m.lb.copy(), m.ub.copy())
+        assert eng.cs.tolist() == [cold_reset_rule(*c) for c in cases]
+        assert np.all((m.lb <= eng.x) & (eng.x <= m.ub))
 
 
 def solved_pair(seed, n_vars=8, n_rows=10, ub=1.0):
@@ -545,7 +658,7 @@ def full_ratio(eng, dx):
 
 
 def full_leaving(eng, bland):
-    """The dual leaving row over every slot, and the summed violation."""
+    """The dual leaving row over every slot."""
     m = eng.m
     ns = m._n_slots
     s, mask = full_slacks(eng), basic_mask(eng)
@@ -554,10 +667,9 @@ def full_leaving(eng, bland):
     viol = np.maximum(below, above)
     viol[viol < lp.TOL_FEAS] = 0.0
     if viol.max(initial=0.0) <= 0.0:
-        return None, None, 0.0, 0.0
+        return None, None, 0.0
     slot = int(np.flatnonzero(viol > 0.0)[0] if bland else np.argmax(viol))
-    return (slot, +1 if below[slot] >= above[slot] else -1,
-            float(viol[slot]), float(viol.sum()))
+    return slot, +1 if below[slot] >= above[slot] else -1, float(viol[slot])
 
 
 def full_infeasibility(eng):
@@ -599,7 +711,7 @@ class ScreenCheck:
             want = full_leaving(eng, bland)
             got = leaving(eng, bland)
             assert got[:2] == want[:2]
-            assert got[2:] == pytest.approx(want[2:], rel=1e-12, abs=1e-15)
+            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
             self.compared += 1
             return got
 
