@@ -28,10 +28,10 @@ for t in range(months):
     m += 1
     if m == 13:
         y, m = y + 1, 1
-csv_path = Path(tempfile.mkdtemp()) / "prices.csv"
-csv_path.write_text("\n".join(rows) + "\n")
-
-panel = read_price_csv(csv_path)
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "prices.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    panel = read_price_csv(csv_path)
 returns = returns_from_prices(panel, lag_months=12)
 mean, cov = estimate_moments(returns)
 print(f"panel: {months} months x {len(panel.names)} assets "

@@ -17,7 +17,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +33,6 @@ from .heuristics import METHODS, AsmConfig, run_method
 from .reports import STATUS_OK, STATUS_TIME_LIMIT
 from .saa import ScenarioSet, evaluate_outcomes
 
-RAW_COLUMNS = ["method", "n_scenarios", "k", "trial", "seed", "objective",
-               "wall_time", "lp_solves", "mip_nodes", "train_violations",
-               "test_violation_rate", "binomial_upper_limit", "status"]
-AGG_COLUMNS = ["method", "n_scenarios", "k", "runs", "objective_mean",
-               "wall_time_mean", "lp_solves_mean", "mip_nodes_mean",
-               "test_violation_rate_mean", "binomial_upper_limit_mean"]
 SWEEP_COLUMNS = ["w", "n_scenarios", "k", "runs", "objective_mean",
                  "wall_time_mean", "constraints_added_mean",
                  "test_violation_rate_mean"]
@@ -74,6 +68,9 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRow:
+    """One method on one trial: a raw.csv row, and with x the JSON report
+    that ``solve --out`` writes."""
+
     method: str
     n_scenarios: int
     k: int
@@ -90,6 +87,14 @@ class TrialRow:
 
     def as_list(self):
         return [getattr(self, c) for c in RAW_COLUMNS]
+
+
+RAW_COLUMNS = [f.name for f in fields(TrialRow)]
+# fields averaged per (method, N) in aggregate.csv, as <field>_mean
+MEAN_FIELDS = ["objective", "wall_time", "lp_solves", "mip_nodes",
+               "test_violation_rate", "binomial_upper_limit"]
+AGG_COLUMNS = (["method", "n_scenarios", "k", "runs"]
+               + [f"{c}_mean" for c in MEAN_FIELDS])
 
 
 def scenario_seed(base_seed: int, trial: int) -> int:
@@ -120,67 +125,63 @@ def _violation_rate(x, instance: Instance, test: ScenarioSet, beta=None):
     return rate, upper
 
 
-def _solve_socp(instance, scenarios, eps, semi):
-    """The Gaussian baseline, its training violations counted."""
-    rep = solve_gaussian_exact(instance.model, instance.alpha, eps, semi=semi,
-                               cash_index=instance.cash_index)
-    return replace(rep, train_violations=evaluate_outcomes(
-        rep.x, scenarios, instance.program_spec).violation_count)
+def _trial_row(method, inst, scenarios, budget, trial, seed, test, cfg, semi,
+               time_limit, eps=None):
+    """Run one method on a training set and validate it on ``test``: the
+    TrialRow, status ``time_limit`` past ``time_limit``, and the report.
 
-
-def _run_one_method(method, instance, scenarios, budget, cfg, seed,
-                    semi, time_limit):
-    """socp needs the instance's Gaussian model; run_method the rest."""
+    socp solves the instance's Gaussian model at risk level ``eps`` (None:
+    k/N, or the instance's epsilon when k = 0), its training violations
+    counted; every other tag goes through run_method.
+    """
     if method == "socp":
-        eps = budget.discard_fraction if budget.k_removals > 0 else instance.epsilon
-        # at k = 0 fall back to the instance risk level rather than eps = 0
-        return _solve_socp(instance, scenarios, max(eps, 1e-9), semi)
-    return run_method(method, scenarios, instance.program_spec, budget,
-                      cfg=cfg, seed=seed, semi=semi, time_limit=time_limit)
+        if eps is None:
+            eps = budget.discard_fraction if budget.k_removals > 0 else inst.epsilon
+        rep = solve_gaussian_exact(inst.model, inst.alpha, eps, semi=semi,
+                                   cash_index=inst.cash_index)
+        rep.train_violations = evaluate_outcomes(
+            rep.x, scenarios, inst.program_spec).violation_count
+    else:
+        rep = run_method(method, scenarios, inst.program_spec, budget,
+                         cfg=cfg, seed=seed, semi=semi, time_limit=time_limit)
+    rate, upper = _violation_rate(rep.x, inst, test)
+    status = rep.status
+    if time_limit is not None and rep.wall_time > time_limit:
+        status = STATUS_TIME_LIMIT
+    row = TrialRow(method, scenarios.n_scenarios, budget.k_removals, trial,
+                   seed, rep.objective, rep.wall_time, rep.lp_solves,
+                   rep.mip_nodes, rep.train_violations, rate, upper, status)
+    return row, rep
 
 
-def _trial_worker(args):
+def _trial_worker(config: ExperimentConfig, N, budget, trial):
     """One (N, trial) work unit: sample once, run every method, validate."""
-    (instance, methods, N, k_budget, trial, base_seed, time_limit,
-     test_size, w, polish_a, semicontinuous) = args
-    cfg = AsmConfig(w=w, polish_iterations=polish_a)
-    semi = instance.semicontinuous if semicontinuous else None
-    seed = scenario_seed(base_seed, trial)
-    scenarios = sample_scenarios(instance.model, N, seed)
+    inst = config.instance
+    cfg = AsmConfig(w=config.w, polish_iterations=config.polish_iterations)
+    semi = inst.semicontinuous if config.semicontinuous else None
+    seed = scenario_seed(config.base_seed, trial)
+    scenarios = sample_scenarios(inst.model, N, seed)
     # one test set per trial, shared by every method like the training set
-    test = sample_scenarios(instance.model, test_size, test_seed(base_seed, trial))
-    rows = []
-    for method in methods:
-        rep = _run_one_method(method, instance, scenarios, k_budget, cfg,
-                              seed, semi, time_limit)
-        rate, upper = _violation_rate(rep.x, instance, test)
-        status = rep.status
-        if time_limit is not None and rep.wall_time > time_limit:
-            status = STATUS_TIME_LIMIT
-        rows.append(TrialRow(method, N, k_budget.k_removals, trial, seed,
-                             rep.objective, rep.wall_time, rep.lp_solves,
-                             rep.mip_nodes, rep.train_violations, rate, upper,
-                             status))
-    return rows
+    test = sample_scenarios(inst.model, config.test_set_size,
+                            test_seed(config.base_seed, trial))
+    return [_trial_row(method, inst, scenarios, budget, trial, seed, test,
+                       cfg, semi, config.time_limit)[0]
+            for method in config.methods]
 
 
 def run_experiment(config: ExperimentConfig):
     """All (method, N, trial) rows plus per-(method, N) aggregate rows."""
     inst = config.instance
     budgets = {N: max_removals(N, inst.risk_spec) for N in config.n_grid}
-    units = [(inst, list(config.methods), N, budgets[N], trial,
-              config.base_seed, config.time_limit, config.test_set_size,
-              config.w, config.polish_iterations, config.semicontinuous)
+    units = [(config, N, budgets[N], trial)
              for N in config.n_grid for trial in range(config.trials)]
-    rows = []
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for batch in pool.map(_trial_worker, units):
-                rows.extend(batch)
+            batches = list(pool.map(_trial_worker, *zip(*units)))
     else:
-        for unit in units:
-            rows.extend(_trial_worker(unit))
-    rows.sort(key=lambda r: (r.method, r.n_scenarios, r.trial))
+        batches = [_trial_worker(*unit) for unit in units]
+    rows = sorted((r for batch in batches for r in batch),
+                  key=lambda r: (r.method, r.n_scenarios, r.trial))
     return rows, aggregate(rows)
 
 
@@ -196,15 +197,8 @@ def aggregate(rows):
             continue
         out.append({
             "method": method, "n_scenarios": N, "k": ok[0].k, "runs": len(ok),
-            "objective_mean": float(np.mean([r.objective for r in ok])),
-            "wall_time_mean": float(np.mean([r.wall_time for r in ok])),
-            "lp_solves_mean": float(np.mean([r.lp_solves for r in ok])),
-            "mip_nodes_mean": float(np.mean([r.mip_nodes for r in ok])),
-            "test_violation_rate_mean":
-                float(np.mean([r.test_violation_rate for r in ok])),
-            "binomial_upper_limit_mean":
-                float(np.mean([r.binomial_upper_limit for r in ok])),
-        })
+            **{f"{c}_mean": float(np.mean([getattr(r, c) for r in ok]))
+               for c in MEAN_FIELDS}})
     return out
 
 
@@ -323,7 +317,7 @@ def _parser():
     e = sub.add_parser("experiment", parents=[common],
                        help="full multi-method trial campaign")
     e.add_argument("--instance", required=True)
-    e.add_argument("--methods", default="full,grp,rap,fgrp,pnd,fpnd,asm1,asm2,asm3")
+    e.add_argument("--methods", default=",".join(METHODS))
     e.add_argument("--n-grid", default="1000,10000")
     e.add_argument("--trials", type=int, default=30)
     e.add_argument("--test-size", type=int, default=100_000)
@@ -411,32 +405,21 @@ def _cmd_solve(args):
     budget = max_removals(scenarios.n_scenarios, inst.risk_spec)
     cfg = AsmConfig(w=args.w, polish_iterations=args.polish_a)
     semi = inst.semicontinuous if args.semicontinuous else None
-    if args.method == "socp" and args.epsilon is not None:
-        rep = _solve_socp(inst, scenarios, args.epsilon, semi)
-    else:
-        rep = _run_one_method(args.method, inst, scenarios, budget, cfg,
-                              args.seed, semi, args.time_limit)
-    rate, upper = validate_solution(rep.x, inst, 100_000,
-                                    test_seed(args.seed, 0))
-    print(f"method={rep.method} N={scenarios.n_scenarios} "
-          f"k={budget.k_removals} objective={rep.objective:.6f} "
-          f"solves={rep.lp_solves} nodes={rep.mip_nodes} "
-          f"train_violations={rep.train_violations} "
-          f"test_rate={rate:.5f} upper={upper:.5f} status={rep.status}")
+    # trial 0 of the experiment protocol: its training seed is --seed
+    test = sample_scenarios(inst.model, 100_000, test_seed(args.seed, 0))
+    row, rep = _trial_row(args.method, inst, scenarios, budget, 0, args.seed,
+                          test, cfg, semi, args.time_limit, eps=args.epsilon)
+    print(f"method={row.method} N={row.n_scenarios} k={row.k} "
+          f"objective={row.objective:.6f} solves={row.lp_solves} "
+          f"nodes={row.mip_nodes} train_violations={row.train_violations} "
+          f"test_rate={row.test_violation_rate:.5f} "
+          f"upper={row.binomial_upper_limit:.5f} status={row.status}")
     if args.out:
-        payload = {
-            "method": rep.method, "x": [float(v) for v in rep.x],
-            "objective": rep.objective, "n_scenarios": scenarios.n_scenarios,
-            "k": budget.k_removals, "lp_solves": rep.lp_solves,
-            "mip_nodes": rep.mip_nodes, "wall_time": rep.wall_time,
-            "train_violations": rep.train_violations,
-            "test_violation_rate": rate, "binomial_upper_limit": upper,
-            "status": rep.status, "seed": args.seed,
-        }
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump({**asdict(row), "x": [float(v) for v in rep.x]}, fh,
+                      indent=1)
             fh.write("\n")
-    return 3 if rep.status == STATUS_TIME_LIMIT else 0
+    return 3 if row.status == STATUS_TIME_LIMIT else 0
 
 
 def _cmd_validate(args):

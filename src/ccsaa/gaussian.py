@@ -34,9 +34,10 @@ from .saa import ScenarioSet
 _CUT_TOL = 1e-8
 _MAX_CUTS = 1000
 _SAMPLE_BLOCK = 8192            # rows per block when sampling scenarios
+_CHOL_TOL = 1e-12               # pivots below this share of the scale are zero
 
 
-def cholesky(cov, tol: float = 1e-12) -> np.ndarray:
+def cholesky(cov) -> np.ndarray:
     """Lower-triangular L with L L^T = cov, tolerant of semidefinite input.
 
     Zero-variance coordinates (a cash column) produce zero pivots and zero
@@ -51,7 +52,7 @@ def cholesky(cov, tol: float = 1e-12) -> np.ndarray:
         raise ValueError("covariance must be symmetric")
     n = A.shape[0]
     L = np.zeros((n, n))
-    piv_tol = tol * scale
+    piv_tol = _CHOL_TOL * scale
     for j in range(n):
         d = A[j, j] - L[j, :j] @ L[j, :j]
         if d > piv_tol:
@@ -146,18 +147,16 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
 
     lp_solves = 0
     mip_nodes = 0
-    cuts = 0
-    x = None
     for _ in range(_MAX_CUTS):
         if mip_master is not None:
-            res = mip_solve(mip_master, warm=x)
+            res = mip_solve(mip_master)
             lp_solves += res.lp_solves
             mip_nodes += res.node_count
-            status, x, obj = res.status, res.x, res.objective_value
+            status, x = res.status, res.x
         else:
             sol = lp.lp_solve(master)
             lp_solves += 1
-            status, x, obj = sol.status, sol.x, sol.objective_value
+            status, x = sol.status, sol.x
         if status != lp.OPTIMAL:
             raise InfeasibleModel(f"Gaussian master is {status}")
         x = x[:n]
@@ -175,7 +174,6 @@ def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,
         coeffs = np.zeros(master.n_cols)
         coeffs[:n] = model.mean - z * g
         master.add_row(coeffs, ">=", alpha)
-        cuts += 1
     else:
         raise NumericalFailure("cutting-plane loop did not converge")
 

@@ -220,24 +220,20 @@ def mip_solve(model: MipModel, warm=None,
         return GAP * max(1.0, abs(incumbent_obj))
 
     heap = []      # (-bound, tie, patch, basis)
-    stack = []     # dive stack, used until the first incumbent
     tie = 0
-    stack.append((root_bound, {}, root.basis, root))
+    # the solved node to process next: the root, then the dive's rounded
+    # child until the first incumbent
+    dive = ({}, root)
     hit_limit = False
 
-    while stack or heap:
+    while dive or heap:
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
             hit_limit = True
             break
-        if stack and incumbent_x is None:
-            bound, patch, basis, sol = stack.pop()
+        if dive:
+            (patch, sol), dive = dive, None
+            bound = sol.objective_value
         else:
-            while stack:
-                b, p, bs, _ = stack.pop()
-                tie += 1
-                heapq.heappush(heap, (-b, tie, p, bs))
-            if not heap:
-                break
             negb, _, patch, basis = heapq.heappop(heap)
             bound, sol = -negb, None
         if incumbent_x is not None and bound <= incumbent_obj + gap_abs():
@@ -273,8 +269,7 @@ def mip_solve(model: MipModel, warm=None,
             child_sol = lp.lp_solve(base, warm=sol.basis)
             nodes += 1
             if child_sol.status == lp.OPTIMAL:
-                stack.append((child_sol.objective_value, child_near,
-                              child_sol.basis, child_sol))
+                dive = (child_near, child_sol)
         else:
             for child in (child_far, child_near):
                 tie += 1
@@ -283,7 +278,7 @@ def mip_solve(model: MipModel, warm=None,
 
     # the best open node bounds what the search left unexplored
     best_bound = max([incumbent_obj] + [-e[0] for e in heap]
-                     + [e[0] for e in stack])
+                     + ([dive[1].objective_value] if dive else []))
 
     restore()
     lp_solves = base.stats.solves - solves_before

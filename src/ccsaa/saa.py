@@ -80,15 +80,13 @@ class OutcomeVector:
     """Per-scenario violation values with ranked views.
 
     ``ranked`` orders the *violated* scenarios by outcome, largest first
-    (ties broken by ascending scenario index); ``ranked_all`` orders every
-    scenario the same way.  Both report original scenario indices.
+    (ties broken by ascending scenario index), as original scenario indices.
     """
 
     def __init__(self, values: np.ndarray):
         self.values = values
         self._violated = None
         self._ranked = None
-        self._ranked_all = None
 
     @property
     def violated(self) -> np.ndarray:
@@ -108,18 +106,12 @@ class OutcomeVector:
             self._ranked = idx[_descending(self.values[idx])]
         return self._ranked
 
-    @property
-    def ranked_all(self) -> np.ndarray:
-        if self._ranked_all is None:
-            self._ranked_all = _descending(self.values)
-        return self._ranked_all
-
     def kth_ranked(self, rank: int):
         """(value, scenario) at a 1-based rank of the descending ordering.
 
-        Same ordering as ``ranked_all`` (ties by ascending scenario index)
-        but by partitioning: only the violated scenarios, when they reach
-        the rank, else all N.
+        The ordering of ``ranked`` extended to every scenario (ties by
+        ascending scenario index), found by partitioning: only the violated
+        scenarios, when they reach the rank, else all N.
         """
         if not 1 <= rank <= self.values.size:
             raise ValueError(f"rank {rank} out of range 1..{self.values.size}")

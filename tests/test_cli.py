@@ -135,9 +135,11 @@ class TestRunExperiment:
         sc = sample_scenarios(inst.model, 400, 17)
         budget = max_removals(400, inst.risk_spec)
         assert budget.k_removals == 7
-        rep = cli._run_one_method("socp", inst, sc, budget, None, 17, None, None)
+        test = sample_scenarios(inst.model, 1000, cli.test_seed(17, 0))
+        row, rep = cli._trial_row("socp", inst, sc, budget, 0, 17, test, None,
+                                  None, None)
         violations = evaluate_outcomes(rep.x, sc, inst.program_spec).violation_count
-        assert rep.train_violations == violations == 6
+        assert row.train_violations == rep.train_violations == violations == 6
 
     def test_one_test_set_per_trial(self, monkeypatch):
         inst = small_instance(seed=8)
@@ -177,8 +179,10 @@ class TestRunExperiment:
         monkeypatch.setattr(heuristics, "evaluate_outcomes", slow)
         inst = small_instance(seed=3)
         budget = max_removals(100, inst.risk_spec)
-        rows = cli._trial_worker((inst, ["full"], 100, budget, 0, 5, 0.2, 1000,
-                                  0.5, None, False))
+        config = ExperimentConfig(instance=inst, methods=["full"],
+                                  n_grid=[100], base_seed=5, time_limit=0.2,
+                                  test_set_size=1000)
+        rows = cli._trial_worker(config, 100, budget, 0)
         assert rows[0].wall_time > 0.3
         assert rows[0].status == "time_limit"
 
@@ -375,6 +379,35 @@ class TestCommandLine:
                                        inst.program_spec).violation_count
         assert payload["train_violations"] == violations > 0
         assert f"train_violations={violations} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["full", "socp"])
+    def test_solve_over_the_time_limit(self, tmp_path, capsys, method):
+        # as under experiment: a run past the limit is time_limit, exit 3
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, small_instance(seed=6))
+        rc = main(["solve", "--instance", str(inst_path), "--method", method,
+                   "--n-scenarios", "200", "--seed", "7", "--time-limit", "0"])
+        assert rc == 3
+        assert "status=time_limit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["rap", "socp", "asm2"])
+    def test_solve_report_is_the_experiment_row(self, tmp_path, method):
+        # solve is trial 0 of the campaign: same training and test sets
+        inst = small_instance(seed=6)
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, inst)
+        report_path = tmp_path / "report.json"
+        assert main(["solve", "--instance", str(inst_path), "--method", method,
+                     "--n-scenarios", "300", "--seed", "17",
+                     "--out", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())
+        rows, _ = run_experiment(ExperimentConfig(
+            instance=inst, methods=[method], n_grid=[300], trials=1,
+            base_seed=17, test_set_size=100_000))
+        assert set(payload) == set(RAW_COLUMNS) | {"x"}
+        for column in RAW_COLUMNS:
+            if column != "wall_time":
+                assert payload[column] == getattr(rows[0], column), column
 
     def test_solve_exact_mip_infeasible_exit_code(self, tmp_path, capsys):
         # no cash column and a floor far above every return: no k rows can go

@@ -11,10 +11,14 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # src on the path, and temporary files under the test's own directory
+    # src on the path, and temporary files in a directory of the test's own
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir),
                PYTHONPATH=os.pathsep.join(p for p in path if p))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    # a demo cleans up what it puts in the temporary directory
+    assert list(tmpdir.iterdir()) == []

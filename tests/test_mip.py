@@ -302,6 +302,30 @@ class TestNodeWork:
         assert len(solves) == again.lp_solves + 1
 
 
+    def test_warm_started_root_is_not_solved_again(self, monkeypatch):
+        # with a valid warm incumbent the root branches from its own
+        # solution instead of waiting in the heap to be solved again
+        inst = default_instance()
+        sc = sample_scenarios(inst.model, 200, 7)
+        model = build_saa_bigm(sc, inst.alpha, 4, inst.program_spec.objective)
+        warm = np.zeros(model.base.n_cols)
+        warm[inst.cash_index] = 1.0
+        base, binaries = model.base, model.binaries
+        lower, upper = base.lb[binaries], base.ub[binaries]
+        at_root = []
+
+        def spy(m, *args, **kwargs):
+            at_root.append(np.array_equal(m.lb[binaries], lower)
+                           and np.array_equal(m.ub[binaries], upper))
+            return lp_solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(lp, "lp_solve", spy)
+        res = mip_solve(model, warm=warm)
+        assert len(at_root) > 1 and at_root[0]
+        assert not any(at_root[1:])
+        assert res.objective_value == 1.1476721722293097
+
+
 class TestExactMipMethod:
     def instance(self):
         rng = np.random.default_rng(10)

@@ -135,7 +135,6 @@ class TestOutcomes:
         out = evaluate_outcomes(np.array([1.0]), sc, spec)
         # violated: scenarios 1, 2 (O=0.1 each) and 4 (O=0.4); ties by index
         assert list(out.ranked) == [4, 1, 2]
-        assert list(out.ranked_all[:3]) == [4, 1, 2]
         assert out.violation_count == 3
 
     def test_permutation_invariance(self):
@@ -215,7 +214,6 @@ class TestRankingAgainstReferences:
         out = OutcomeVector(values)
         ranked = reference_ranked(values, True)
         assert np.array_equal(out.ranked, ranked)
-        assert np.array_equal(out.ranked_all, reference_ranked(values, False))
         assert out.violation_count == ranked.size
         assert np.array_equal(out.violated, np.sort(ranked))
         for rank in range(1, n + 1):
