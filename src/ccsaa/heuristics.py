@@ -1,10 +1,12 @@
 """Constraint-discard heuristics for the k-relaxed scenario program.
 
 Each published method is a pick rule over one of three shared loops.
-_removal starts from the full model and drops one row per round, k rounds:
+_removal starts by keeping every scenario and drops one per round, k rounds:
   greedy_removal      trial-removes every binding row, keeps the best (GR-P)
   random_removal      drops a random binding row (RA-P)
   dual_greedy_removal drops the binding row with the largest |dual| (FGR-P)
+Its master holds rows only for the kept scenarios that some solve found
+violated (``_Master`` generates them), not for all N.
 _insert starts empty and enforces one scenario per round until certified:
   pool_and_discard    pools the most violated scenario, then trial-discards
                       pooled rows (PND; ``fast=True`` tries them in dual
@@ -46,6 +48,7 @@ from .saa import ChanceProgramSpec, ScenarioSet, evaluate_outcomes
 BINDING_TOL_LP = 1e-7
 BINDING_TOL_MIP = 1e-1      # integer masters detect binding rows loosely
 MAX_ROUNDS = 100_000        # cap on constraint additions, a runaway guard
+_ROW_BATCH = 32             # rows a master's generation round gives at most
 
 
 @dataclass
@@ -71,11 +74,18 @@ class AsmConfig:
 
 
 class _Master:
-    """Working model over a subset of scenario rows, LP or integer.
+    """Working model for a kept set E of scenarios, LP or integer.
 
-    ``row_of[i]`` is the model row enforcing scenario i, or -1 when the
-    scenario is not enforced; ``enforced`` lists the enforced scenarios in
-    ascending index order, at O(1) per edit and O(|W|) per view.
+    ``kept`` marks E over all N scenarios.  The model holds the budget row
+    and rows for a subset W of E: ``row_of[i]`` is scenario i's row, or -1.
+    ``add`` keeps a scenario and gives it a row; ``remove`` un-keeps one and
+    drops its row if it has one.  ``solve`` generates the rest of W: after
+    solving over W it evaluates every scenario and gives rows to the (up to
+    _ROW_BATCH) most violated kept scenarios that have none, until no kept
+    scenario is violated, so that the optimum over W is the optimum over E.
+    Every master starts with the budget row alone.  ``enforced`` lists E in
+    ascending index order; its O(N) scan costs less than the evaluation that
+    each solve makes.
     ``started`` is the method's clock: deadlines and the reported wall time
     run from the master's construction.
     """
@@ -85,12 +95,11 @@ class _Master:
         self.started = time.perf_counter()
         self.scenarios = scenarios
         self.spec = spec
-        subset = np.asarray(subset, dtype=np.int64)
-        self.model = saa.build_saa_lp(scenarios, spec, subset=subset)
+        self.model = saa.build_saa_lp(scenarios, spec, subset=())
+        self.kept = np.zeros(scenarios.n_scenarios, dtype=bool)
+        self.kept[np.asarray(subset, dtype=np.int64)] = True
+        self._rowless = int(self.kept.sum())    # kept scenarios without a row
         self.row_of = np.full(scenarios.n_scenarios, -1, dtype=np.int64)
-        self.row_of[subset] = np.arange(1, subset.size + 1)
-        self._listed = np.flatnonzero(self.row_of >= 0)   # may list removed
-        self._pending = set()       # added scenarios not yet listed
         self.mip = None if semi is None else banded(
             MipModel(base=self.model, binaries=[]), semi, scenarios.n_assets,
             spec.cash_index)
@@ -98,6 +107,7 @@ class _Master:
         self.solves = 0
         self.mip_nodes = 0
         self._sol = None            # last LpSolution, or MipResult
+        self.outcomes = None        # OutcomeVector at the last solution
 
     def out_of_time(self, time_limit) -> bool:
         return (time_limit is not None
@@ -109,51 +119,69 @@ class _Master:
         return self._sol.x[: self.scenarios.n_assets]
 
     def solve(self):
-        if self.mip is not None:
-            sol = mip_solve(self.mip,
-                            warm=None if self._sol is None else self._sol.x)
-            self.mip_nodes += sol.node_count
-        else:
-            sol = lp.lp_solve(self.model)
+        """Solve over W and generate rows until no kept scenario is
+        violated; the rounds count as one master solve."""
+        while True:
+            if self.mip is not None:
+                sol = mip_solve(self.mip,
+                                warm=None if self._sol is None else self._sol.x)
+                self.mip_nodes += sol.node_count
+            else:
+                sol = lp.lp_solve(self.model)
+            if sol.status != lp.OPTIMAL:
+                raise InfeasibleModel(f"master solve returned {sol.status}")
+            self._sol = sol
+            out = self.outcomes = evaluate_outcomes(self.x, self.scenarios,
+                                                    self.spec)
+            if not self._rowless:
+                break
+            need = out.violated
+            need = need[self.kept[need] & (self.row_of[need] < 0)]
+            if need.size == 0:
+                break
+            if need.size > _ROW_BATCH:
+                worst = np.lexsort((need, -out.values[need]))[:_ROW_BATCH]
+                need = np.sort(need[worst])
+            for i in need:
+                self._give_row(i)
+            self._rowless -= need.size
         self.solves += 1
-        if sol.status != lp.OPTIMAL:
-            raise InfeasibleModel(f"master solve returned {sol.status}")
-        self._sol = sol
         return self.x, float(sol.objective_value)
 
     # -- row management -------------------------------------------------
-    def add(self, i: int):
-        if self.row_of[i] >= 0:
-            raise ValueError(f"scenario {i} is already enforced")
+    def _give_row(self, i):
         self.row_of[i] = saa.add_scenario_row(self.model, self.scenarios,
                                               self.spec, i)
-        p = np.searchsorted(self._listed, i)
-        if p == self._listed.size or self._listed[p] != i:
-            self._pending.add(i)
+
+    def add(self, i: int):
+        """Keep scenario i and give it a row."""
+        if self.kept[i]:
+            raise ValueError(f"scenario {i} is already enforced")
+        self.kept[i] = True
+        self._give_row(i)
 
     def remove(self, i: int):
-        self.model.remove_row(int(self.row_of[i]))
-        self.row_of[i] = -1
+        """Un-keep scenario i, dropping its row if it has one."""
+        if self.row_of[i] >= 0:
+            self.model.remove_row(int(self.row_of[i]))
+            self.row_of[i] = -1
+        else:
+            self._rowless -= 1
+        self.kept[i] = False
 
     @property
     def enforced(self) -> np.ndarray:
-        """Enforced scenarios, ascending: the edits since the last view folded in."""
-        e = self._listed
-        if self._pending:
-            new = np.array(sorted(self._pending), dtype=np.int64)
-            e = np.insert(e, np.searchsorted(e, new), new)
-            self._pending.clear()
-        self._listed = e[self.row_of[e] >= 0]
-        return self._listed
+        """Kept scenarios, ascending."""
+        return np.flatnonzero(self.kept)
 
     def best_removal(self, order, admissible=None, floor=-np.inf, first=False):
-        """Trial-remove each scenario of ``order``, re-adding its row, and
+        """Trial-remove each scenario of ``order``, re-keeping it after, and
         keep removed the best trial whose objective beats ``floor`` by more
         than 1e-12 and whose x ``admissible`` accepts (returns other than
         None; asked only past that bar), or the first such when ``first``.
         The master is left at that trial's solution, or at its entry one,
         without another solve: (scenario, objective, verdict) or None."""
-        kept, state = None, self._sol
+        kept, state = None, (self._sol, self.outcomes)
         for i in order:
             self.remove(i)
             x, obj = self.solve()
@@ -163,25 +191,24 @@ class _Master:
                     kept, floor = (i, obj, verdict), obj
                     if first:
                         return kept
-                    state = self._sol
+                    state = (self._sol, self.outcomes)
             # re-adding the row invalidates this trial's point; the next
             # solve repairs it warmly
             self.add(i)
         if kept is not None:
             self.remove(kept[0])
-        self._sol = state
+        self._sol, self.outcomes = state
         return kept
 
     # -- state at the last solution --------------------------------------
     def enforced_slack(self):
-        """Enforced scenarios and their r_i . x - alpha at the last solution.
-        One column-major product over all scenarios costs less than a gather
-        of the enforced rows, nearly all of them in the removal family."""
+        """Kept scenarios and their r_i . x - alpha at the last solution,
+        read off the outcomes that its generation evaluated."""
         idx = self.enforced
-        return idx, (self.scenarios.returns @ self.x)[idx] - self.spec.alpha
+        return idx, -self.outcomes.values[idx]
 
     def binding(self) -> list:
-        """Enforced scenarios whose row is tight at the last solution."""
+        """Kept scenarios tight at the last solution, with a row or not."""
         idx, over = self.enforced_slack()
         return idx[(over >= -1e-9) & (over <= self.binding_tol)].tolist()
 
@@ -190,18 +217,22 @@ class _Master:
         return self.binding() or [self.closest_to_binding()]
 
     def closest_to_binding(self) -> int:
-        """The enforced scenario with the smallest slack."""
+        """The kept scenario with the smallest slack."""
         idx, over = self.enforced_slack()
         return int(idx[np.argmin(over)])
 
     def duals(self):
-        """(scenarios, duals) of the enforced rows at the last LP solve, in
-        ascending scenario order; integer masters refuse."""
+        """(scenarios, duals) of the kept scenarios at the last LP solve, in
+        ascending scenario order, 0 for those without a row; integer masters
+        refuse."""
         if self.mip is not None or self._sol is None:
             raise UnsupportedForMip(
                 "dual values are not available from an integer master")
         idx = self.enforced
-        return idx, self._sol.duals_for(self.row_of[idx])
+        rows = self.row_of[idx]
+        pis = np.zeros(idx.size)
+        pis[rows >= 0] = self._sol.duals_for(rows[rows >= 0])
+        return idx, pis
 
     def working_set(self, indices=None) -> WorkingSet:
         idx = self.enforced if indices is None else indices
@@ -209,10 +240,11 @@ class _Master:
 
     def report(self, method, obj, seed=None, status=STATUS_OK, extra_time=0.0,
                x=None, working_set=None, violations=None) -> SolveReport:
-        x = self.x if x is None else x
         if violations is None:
-            violations = evaluate_outcomes(x, self.scenarios,
-                                           self.spec).violation_count
+            out = (self.outcomes if x is None
+                   else evaluate_outcomes(x, self.scenarios, self.spec))
+            violations = out.violation_count
+        x = self.x if x is None else x
         return SolveReport(
             method=method, x=np.array(x, copy=True), objective=float(obj),
             working_set=self.working_set() if working_set is None else working_set,
@@ -229,13 +261,14 @@ def _largest_dual(scenarios, duals):
 
 
 # ----------------------------------------------------------------------
-# full model and the removal family
+# every scenario kept, and the removal family
 # ----------------------------------------------------------------------
 
 def _removal(scenarios, spec, method, k, pick, first=True, semi=None,
              seed=None, time_limit=None) -> SolveReport:
-    """Solve the full model, then k rounds, each trial-removing the rows
-    ``pick(master)`` lists and keeping the best (the first when ``first``)."""
+    """Solve with every scenario kept, then k rounds, each trial-removing
+    the scenarios ``pick(master)`` lists and keeping the best (the first
+    when ``first``)."""
     master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
     _, obj = master.solve()
     for _ in range(k):
@@ -247,7 +280,7 @@ def _removal(scenarios, spec, method, k, pick, first=True, semi=None,
 
 
 def solve_full(scenarios, spec, semi=None) -> SolveReport:
-    """Enforce every scenario row; the conservative zero-discard baseline."""
+    """Enforce every scenario; the conservative zero-discard baseline."""
     return _removal(scenarios, spec, "full", 0, None, semi=semi)
 
 
@@ -298,9 +331,9 @@ def _insert(scenarios, spec, method, pick, semi=None, seed=None,
     chosen from the outcomes at the last solution, and re-solve, until it
     returns None: (master, objective, violation count, status) at the end."""
     master = _Master(scenarios, spec, [], semi=semi)
-    x, obj = master.solve()
+    _, obj = master.solve()
     for additions in itertools.count():
-        out = evaluate_outcomes(x, scenarios, spec)
+        out = master.outcomes
         i = pick(out)
         if i is None:
             return master, obj, out.violation_count, STATUS_OK
@@ -312,7 +345,7 @@ def _insert(scenarios, spec, method, pick, semi=None, seed=None,
         if master.out_of_time(time_limit):
             return master, obj, out.violation_count, STATUS_TIME_LIMIT
         master.add(i)
-        x, obj = master.solve()
+        _, obj = master.solve()
 
 
 def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
@@ -426,15 +459,15 @@ def _polish(report: SolveReport, method, rows, scenarios, spec,
             break
         master.remove(s)
         x, obj = master.solve()
-        out = evaluate_outcomes(x, scenarios, spec)
+        out = master.outcomes
         swap_in = None
         if out.violation_count >= test:
             _, scenario = out.kth_ranked(test)
-            if master.row_of[scenario] < 0:
+            if not master.kept[scenario]:
                 swap_in = scenario
                 master.add(swap_in)
                 x, obj = master.solve()
-                out = evaluate_outcomes(x, scenarios, spec)
+                out = master.outcomes
         if out.violation_count < test and obj > best[1] + 1e-12:
             best = (x, obj, out.violation_count, master.working_set())
     x, obj, violations, ws = best

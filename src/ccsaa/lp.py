@@ -5,12 +5,11 @@ of structural columns.  Any basis of such a program contains at most n
 structural columns, so the active factorization -- the "kernel" of tight rows
 against basic columns -- never exceeds n x n.  Pricing, search directions and
 dual pivots all reduce to dense solves against that kernel.  The row block
-enters through the ratio test, the dual leaving row and the feasibility check,
-and these evaluate exactly only the rows that a safe screen cannot rule out
-(El Ghaoui, Viallon & Rabbani 2012): a bound on how far each row's slack can
-move since an anchor point, where all slacks were computed once.  So a pivot
-touches the few rows near their limits, not all of them, and single-row edits
-(the dominant workload of discard heuristics) stay nearly free.
+enters only through the ratio test, the dual leaving row and the feasibility
+check, one product over the row slots each, so single-row edits (the dominant
+workload of discard heuristics) stay nearly free.  Callers keep models small:
+the heuristics' masters hold only the scenario rows that bind or were
+violated (``heuristics._Master``).
 
 Conventions: problems MAXIMIZE ``objective . x`` subject to column bounds and
 rows ``a . x (<=|>=|=) b``.  Row duals are shadow prices dObj/dRHS, so
@@ -45,14 +44,6 @@ TOL_PIVOT = 1e-10
 _TIE = 1e-12
 _MAX_PIVOTS = 200_000
 
-# Row screen (see _Engine._anchor)
-_SCREEN_MIN = 256        # fewer row slots: every evaluation is a full pass
-_NEAR_SHARE = 8          # an anchor keeps the 1/8 of rows with the least keys
-_RHO_MAX = 1e3           # rows with |c| > _RHO_MAX h are always evaluated
-_SHORT_RUN = 4           # anchors in a row that serve one evaluation each
-_FULL_SPELL = 32         # then make this many evaluations full passes
-_U = np.finfo(float).eps / 2    # unit roundoff
-
 log = logging.getLogger("ccsaa")
 
 
@@ -67,12 +58,6 @@ def _improving(status, d, tol):
     up = ((status == AT_LOWER) | (status == NB_FREE)) & (d > tol)
     down = ((status == AT_UPPER) | (status == NB_FREE)) & (d < -tol)
     return up.astype(float) - down
-
-
-def _spread(a):
-    """Centre c and radius h of each row's coefficients: a_ij lies in c +- h."""
-    hi, lo = a.max(axis=-1), a.min(axis=-1)
-    return (hi + lo) / 2, (hi - lo) / 2
 
 
 def _lexmin(score, vindex, ok, bland):
@@ -180,7 +165,6 @@ class LpModel:
         self._rhs = np.zeros(cap)
         self._rel = np.zeros(cap, dtype=np.int8)
         self._slo, self._shi = np.zeros(cap), np.zeros(cap)   # fixed by _rel
-        self._c, self._h = np.zeros(cap), np.zeros(cap)       # _spread of a row
         self._alive = np.zeros(cap, dtype=bool)
         self._n_slots = 0
         self.stats = SolveStats()
@@ -231,7 +215,6 @@ class LpModel:
         self._rhs[first:need] = b
         self._rel[first:need] = code
         self._slo[first:need], self._shi[first:need] = _SLACK_LIMS[code]
-        self._c[first:need], self._h[first:need] = _spread(A)
         self._alive[first:need] = True
         self._n_slots = need
         if self._engine is not None:
@@ -259,7 +242,6 @@ class LpModel:
         self.lb = np.concatenate([self.lb, lo])
         self.ub = np.concatenate([self.ub, hi])
         self._A = np.hstack([self._A, np.zeros((self._A.shape[0], c.size))])
-        self._c, self._h = _spread(self._A)
         self._engine = None
         return list(range(first, self.n_cols))
 
@@ -288,8 +270,6 @@ class LpModel:
         self._rel = np.concatenate([self._rel, np.zeros(grow, dtype=np.int8)])
         self._slo = np.concatenate([self._slo, np.zeros(grow)])
         self._shi = np.concatenate([self._shi, np.zeros(grow)])
-        self._c = np.concatenate([self._c, np.zeros(grow)])
-        self._h = np.concatenate([self._h, np.zeros(grow)])
         self._alive = np.concatenate([self._alive, np.zeros(grow, dtype=bool)])
 
     # ------------------------------------------------------------------
@@ -326,11 +306,6 @@ class _Engine:
         self._s = None              # cached slack values over all slots
         self._K = self._K_sets = None   # cached kernel A[S, T], and its (S, T)
         self.valid = False
-        self._x0 = None             # screen anchor (see _anchor); None: none
-        self._full = 0              # evaluations left to do by full pass
-        self._short = 0             # anchors in a row that served one evaluation
-        self._inv = self._lift = np.zeros(0)    # row constants of the keys
-        self._rho = 0.0
 
     # -- construction / loading ---------------------------------------
     def cold_reset(self):
@@ -493,104 +468,11 @@ class _Engine:
             self._s = self.m._rhs[:ns] - self.m._A[:ns] @ self.x
         return self._s
 
-    # -- row screen ------------------------------------------------------
-    # Row i's coefficients lie in c_i +- h_i (LpModel._spread).  For any move
-    # v, |a_i.v| <= h_i |v|_1 + |c_i| |sum v| <= h_i (|v|_1 + rho |sum v|) when
-    # |c_i| <= rho h_i; a budget row keeps sum v near 0.  An anchor x0 keys
-    # row i by q_i = (d_i - e_i) / h_i, d_i the distance of its slack to the
-    # nearest limit, e_i a rounding allowance.  At x, with cut = |x - x0|_1 +
-    # rho |sum(x - x0)|, a row with q_i > cut is strictly inside its limits;
-    # along dx it cannot block before (q_i - cut) / D, D = |dx|_1 + rho |sum dx|.
-    # Allowance: b - a.x in floating point, in any order, errs by at most
-    # g (|b| + |a|_inf |x|_1), g = (n+1)u / (1 - (n+1)u) (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 3.1).  With |x|_1 <= |x0|_1 + cut and
-    # |a_i|_inf <= (1 + rho) h_i, the evaluations at x0 and at x err by at
-    # most e_i = 2g (|b_i| + (1 + rho) h_i |x0|_1) plus g (1 + rho) h_i cut;
-    # the relative margin eps on every threshold covers that last term and
-    # the rounding of cut, D and a_i.dx.
-    def _anchor(self):
-        """Anchor the screen at x: one full product, then each row's key.
-
-        Rows with h = 0 or |c| > _RHO_MAX h get key -inf (always evaluated),
-        dead rows +inf.  The rows with keys up to the 1/_NEAR_SHARE quantile
-        kq are kept; a cut beyond kq re-anchors.  Returns the cut, 0, or None
-        when that share is near already, as under a big-M row (h of order M):
-        this evaluation is then a full pass.
-        """
-        m = self.m
-        ns = m._n_slots
-        g = (m.n_cols + 1) * _U / (1 - (m.n_cols + 1) * _U)
-        done = self._inv.size
-        if done < ns:       # rows never change: extend their constants
-            c, h = np.abs(m._c[done:ns]), m._h[done:ns]
-            ok = (h > 0) & (c <= _RHO_MAX * h)
-            inv = np.divide(1.0, h, out=np.zeros(ns - done), where=ok)
-            lift = np.where(ok, -2 * g * np.abs(m._rhs[done:ns]) * inv, -np.inf)
-            self._inv = np.concatenate([self._inv, inv])
-            self._lift = np.concatenate([self._lift, lift])
-            self._rho = max(self._rho, float(np.max(c * inv, initial=0.0)))
-        self._eps = 8 * g * (1 + self._rho)
-        s = self._slack_values()
-        d = np.minimum(s - m._slo[:ns], m._shi[:ns] - s)
-        q = d * self._inv[:ns] + self._lift[:ns]
-        shift = 2 * g * (1 + self._rho) * np.abs(self.x).sum()
-        q = np.where(m._alive[:ns], q - shift, np.inf)
-        k = ns // _NEAR_SHARE
-        self._kq = np.partition(q, k)[k]
-        if self._kq <= 0.0:
-            self._x0, self._short = None, self._short + 1
-            return None
-        self._x0, self._ns0, self._served = self.x.copy(), ns, 1
-        self._cand = np.flatnonzero(q <= self._kq)
-        self._qc = q[self._cand]
-        return 0.0
-
-    def _norm(self, v):
-        return np.abs(v).sum() + self._rho * abs(v.sum())
-
-    def _screen_cut(self):
-        """The cut at x, anchoring first when there is no anchor, when many
-        rows were added since, or when its kept rows no longer cover the cut.
-        None: this evaluation is a full pass, as are the next _FULL_SPELL - 1
-        after _SHORT_RUN anchors in a row that served one evaluation each."""
-        ns = self.m._n_slots
-        if ns < _SCREEN_MIN:
-            return None
-        if self._full:
-            self._full -= 1
-            return None
-        if self._x0 is not None and ns - self._ns0 <= ns // _NEAR_SHARE:
-            cut = self._norm(self.x - self._x0)
-            if cut * (1 + self._eps) <= self._kq:
-                self._served += 1
-                return cut
-            self._short = self._short + 1 if self._served == 1 else 0
-        if self._short >= _SHORT_RUN:
-            self._x0, self._short, self._full = None, 0, _FULL_SPELL - 1
-            return None
-        return self._anchor()
-
-    def _near(self, thr):
-        """Alive rows with a basic slack, ascending: those with key at most
-        ``thr`` plus the rows added since the anchor; all when thr is None."""
-        m = self.m
-        ns = m._n_slots
-        if thr is None:
-            return np.flatnonzero(m._alive[:ns] & (self.ss[:ns] == BASIC))
-        idx = self._cand[self._qc <= thr]
-        if ns > self._ns0:
-            idx = np.concatenate([idx, np.arange(self._ns0, ns)])
-        return idx[m._alive[idx] & (self.ss[idx] == BASIC)]
-
     def _basic_slacks(self):
-        """The rows whose basic slack may be out of its limits at x,
-        ascending, and their slacks; every other row is strictly inside."""
-        cut = self._screen_cut()
-        if cut is None:
-            idx = self._near(None)
-            return idx, self._slack_values()[idx]
-        idx = self._near(cut * (1 + self._eps))
-        return idx, self.m._rhs[idx] - self.m._A[idx] @ self.x
+        """The alive rows with a basic slack, ascending, and their slacks."""
+        ns = self.m._n_slots
+        idx = np.flatnonzero(self.m._alive[:ns] & (self.ss[:ns] == BASIC))
+        return idx, self._slack_values()[idx]
 
     # -- pricing ---------------------------------------------------------
     def _nonbasic_candidates(self):
@@ -630,37 +512,18 @@ class _Engine:
     def _slack_ratio(self, dx):
         """Ratio test over the basic slacks along ``dx``: (theta, slot) of the
         least step to a limit, the smallest slot within _TIE of it, or
-        (inf, -1).  The rows first evaluated bound the step by theta; every
-        row that could block within theta + 2 _TIE is then evaluated too, so
-        the least step and its ties are exact."""
+        (inf, -1)."""
         m = self.m
-        cut = self._screen_cut()
-        thr = None if cut is None else cut * (1 + self._eps)
-        D = 0.0 if cut is None else self._norm(dx)
-        while True:
-            idx = self._near(thr)
-            if thr is None:
-                s = self._slack_values()[idx]
-                ds = -(m._A[: m._n_slots] @ dx)[idx]
-            else:
-                Ai = m._A[idx]
-                s, ds = m._rhs[idx] - Ai @ self.x, -(Ai @ dx)
-            # the limit each slack heads for, and the room left before it
-            down = ds < 0.0
-            lim = np.where(down, m._slo[idx], m._shi[idx])
-            room = np.maximum(np.where(down, s - lim, lim - s), 0.0)
-            rate = np.abs(ds)
-            thetas = np.divide(room, rate, out=np.full(idx.size, np.inf),
-                               where=(rate > TOL_PIVOT) & np.isfinite(lim))
-            theta = thetas.min(initial=np.inf)
-            if thr is None or D == 0.0:
-                break
-            need = (cut + (theta + 2 * _TIE) * D) * (1 + self._eps)
-            if need <= thr:
-                break
-            # widen to every row the threshold needs, or to all kept rows
-            # when none blocks yet; past those, one full pass
-            thr = min(need, self._kq) if thr < self._kq else None
+        idx, s = self._basic_slacks()
+        ds = -(m._A[: m._n_slots] @ dx)[idx]
+        # the limit each slack heads for, and the room left before it
+        down = ds < 0.0
+        lim = np.where(down, m._slo[idx], m._shi[idx])
+        room = np.maximum(np.where(down, s - lim, lim - s), 0.0)
+        rate = np.abs(ds)
+        thetas = np.divide(room, rate, out=np.full(idx.size, np.inf),
+                           where=(rate > TOL_PIVOT) & np.isfinite(lim))
+        theta = thetas.min(initial=np.inf)
         if np.isinf(theta):
             return np.inf, -1
         return theta, int(idx[np.flatnonzero(thetas <= theta + _TIE)[0]])

@@ -16,6 +16,7 @@ each node costs a handful of dual pivots.
 """
 
 import heapq
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -75,13 +76,21 @@ def big_m_values(scenarios: ScenarioSet, alpha: float) -> np.ndarray:
 
 def build_saa_bigm(scenarios: ScenarioSet, alpha: float, k: int,
                    objective) -> MipModel:
-    """Exact N-scenario, k-discard model with one binary per scenario."""
+    """Exact N-scenario, k-discard model with one binary per scenario;
+    ConfigError, before anything is allocated, when its dense (N+2) x (N+n)
+    matrix exceeds the machine's physical memory."""
     c = np.asarray(objective, dtype=float).ravel()
     N, n = scenarios.n_scenarios, scenarios.n_assets
     if c.size != n:
         raise ValueError(f"objective has dimension {c.size}, expected {n}")
     if not 0 <= k < N:
         raise ValueError(f"need 0 <= k < N, got k={k}, N={N}")
+    need = 8 * (N + 2) * (N + n)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"the big-M model at N={N} needs {need / 2**30:.1f} "
+                          f"GiB, more than the {have / 2**30:.1f} GiB of "
+                          "physical memory")
     M = big_m_values(scenarios, alpha)
     model = lp.LpModel(np.concatenate([c, np.zeros(N)]),
                        lower=np.zeros(n + N),

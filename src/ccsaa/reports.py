@@ -28,7 +28,9 @@ class WorkingSet:
 
 @dataclass
 class SolveReport:
-    """One method run: solution, bookkeeping counters, and training stats."""
+    """One method run: solution, bookkeeping counters, and training stats.
+    ``lp_solves`` counts master solves, a row generation loop as one (for
+    exact-mip and socp: the LP solves of their search)."""
 
     method: str
     x: np.ndarray

@@ -201,7 +201,11 @@ class TestRunExperiment:
 class TestGoldenCampaign:
     """raw.csv of a small campaign over every method tag, recorded before the
     heuristics became pick rules over shared loops and exact-mip moved into
-    run_method; wall_time is left out.  Only the last bits of the normal
+    run_method; wall_time is left out.  Six objectives of trial 0 (full,
+    grp, fgrp and rap at N=100, full and grp at N=150) were re-recorded in
+    their last bit when masters began to generate their rows: the final
+    basis is the same, but its tight rows reach the kernel in another order.
+    Only the last bits of the normal
     quantile may move: the Wilson limit and the Gaussian baseline's figures
     are compared to 1e-12 relative, everything else exactly."""
 

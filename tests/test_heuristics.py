@@ -13,9 +13,10 @@ from ccsaa.heuristics import (AsmConfig, _largest_dual, _Master, active_set,
                               pool_and_discard, polish_dual, polish_resolve,
                               random_removal, run_method, solve_full)
 from ccsaa.lp import lp_solve
-from ccsaa.mip import SemiContinuousSpec, build_saa_bigm, mip_solve
-from ccsaa.saa import (ChanceProgramSpec, ScenarioSet, build_saa_lp, certify,
-                       evaluate_outcomes)
+from ccsaa.mip import (GAP, MipModel, SemiContinuousSpec, banded,
+                       build_saa_bigm, mip_solve)
+from ccsaa.saa import (VIOLATION_TOL, ChanceProgramSpec, ScenarioSet,
+                       build_saa_lp, certify, evaluate_outcomes)
 
 
 def make_instance(seed, n_risky=2, n_scen=30, alpha=0.96):
@@ -337,7 +338,7 @@ class TestTimedOutPolish:
 
 
 class TestBestRemoval:
-    def test_keeps_best_trial_restores_and_screens(self):
+    def test_keeps_best_trial_and_restores(self):
         sc, spec, _ = make_instance(8, n_risky=4)
         master = _Master(sc, spec, range(30))
         x0, _ = master.solve()
@@ -474,21 +475,32 @@ class TestMasterViews:
         rng = np.random.default_rng(4)
         master = _Master(sc, spec, [17, 3, 40])
         for step in range(200):
-            # a few edits between views, some undoing each other
+            # a few edits between views, some undoing each other, and now
+            # and then a solve, which gives rows to violated kept scenarios
             i = int(rng.integers(8)) if step % 3 else int(rng.integers(60))
-            if master.row_of[i] < 0:
-                master.add(i)
-            else:
+            if master.kept[i]:
                 master.remove(i)
+            else:
+                master.add(i)
+            if rng.random() < 0.2:
+                master.solve()
+                out = evaluate_outcomes(master.x, sc, spec)
+                assert not master.kept[out.violated].any()
             if rng.random() < 0.6:
                 continue
             idx = master.enforced
-            assert np.array_equal(idx, np.flatnonzero(master.row_of >= 0))
-            assert master.model.n_rows == idx.size + 1        # and the budget
+            assert np.array_equal(idx, np.flatnonzero(master.kept))
+            rows = np.flatnonzero(master.row_of >= 0)
+            assert master.kept[rows].all()                    # W within E
+            assert master._rowless == idx.size - rows.size
+            assert master.model.n_rows == rows.size + 1       # and the budget
         master.solve()
         idx, pis = master.duals()
         assert np.array_equal(idx, master.enforced)
-        assert np.array_equal(pis, master._sol.duals_for(master.row_of[idx]))
+        rows = master.row_of[idx]
+        assert np.array_equal(pis[rows >= 0],
+                              master._sol.duals_for(rows[rows >= 0]))
+        assert not pis[rows < 0].any()
         ws = master.working_set()
         assert ws.scenario_indices == idx.tolist()
 
@@ -501,9 +513,12 @@ class TestMasterViews:
             with pytest.raises(ValueError):
                 master.add(i)
             assert master.model.n_rows == rows
+        master.remove(11)
         master.remove(7)
-        master.add(7)
+        assert master.model.n_rows == rows - 1
+        master.add(7)                   # re-kept with a row of its own
         assert master.model.n_rows == rows
+        assert master.enforced.tolist() == [2, 7]
 
     def test_enforced_slack_is_each_rows_margin(self):
         sc, spec, _ = make_instance(32, n_scen=80)
@@ -516,12 +531,77 @@ class TestMasterViews:
             assert np.allclose(over, want, rtol=0, atol=1e-12)
 
 
+class TestGeneratedRows:
+    """Masters over generated rows against models with a row for every kept
+    scenario, along random discard and re-keep sequences."""
+
+    def edit(self, master, rng, discarded):
+        """Re-keep a discarded scenario, or discard a kept one (mostly a
+        binding one, which moves the optimum); then solve."""
+        if discarded and rng.random() < 0.3:
+            master.add(discarded.pop(int(rng.integers(len(discarded)))))
+        else:
+            pool = (master.binding() if rng.random() < 0.7 else None) \
+                or master.enforced.tolist()
+            i = int(pool[int(rng.integers(len(pool)))])
+            master.remove(i)
+            discarded.append(i)
+        master.solve()
+
+    def test_lp_master_matches_the_model_of_every_kept_row(self):
+        inst = default_instance()
+        draws = [(sample_scenarios(inst.model, 400, 5), inst.program_spec),
+                 make_instance(40, n_risky=4, n_scen=300)[:2]]
+        for sc, spec in draws:
+            N = sc.n_scenarios
+            rng = np.random.default_rng(N)
+            for subset in (range(N), rng.choice(N, N // 2, replace=False)):
+                master, discarded = _Master(sc, spec, subset), []
+                master.solve()
+                for step in range(26):
+                    if step:
+                        self.edit(master, rng, discarded)
+                    kept = master.enforced
+                    direct = lp_solve(build_saa_lp(sc, spec, subset=kept))
+                    assert master._sol.objective_value == pytest.approx(
+                        direct.objective_value, abs=1e-9)
+                    out = evaluate_outcomes(master.x, sc, spec)
+                    assert out.values[kept].max() <= VIOLATION_TOL
+                    idx, pis = master.duals()
+                    rowless = master.row_of[idx] < 0
+                    assert rowless.any() and not pis[rowless].any()
+
+    def test_banded_master_matches_the_model_of_every_kept_row(self):
+        # a band under which the first solve needs two generation rounds
+        sc, spec, _ = make_instance(41, n_risky=4, n_scen=300)
+        band = SemiContinuousSpec(0.1, 0.5)
+        rng = np.random.default_rng(3)
+        master, discarded = _Master(sc, spec, range(300), semi=band), []
+        master.solve()
+        assert (master.row_of >= 0).sum() > heuristics._ROW_BATCH
+        for step in range(12):
+            if step:
+                self.edit(master, rng, discarded)
+            kept = master.enforced
+            every = banded(MipModel(base=build_saa_lp(sc, spec, subset=kept),
+                                    binaries=[]),
+                           band, sc.n_assets, spec.cash_index)
+            want = mip_solve(every).objective_value
+            got = master._sol.objective_value
+            assert abs(got - want) <= GAP * max(1.0, abs(want))
+            out = evaluate_outcomes(master.x, sc, spec)
+            assert out.values[kept].max() <= VIOLATION_TOL
+            assert (master.row_of >= 0).sum() < kept.size
+
+
 class TestGoldenDraw:
     """Outputs on one default-instance draw, recorded before the master's
     row map moved from a dict to an array (pnd, asm1, asm2 and the banded
     runs: before the heuristics became pick rules over shared loops); any
     change in the tie rules or the arithmetic shows here.  Removal methods
-    list the discarded rows."""
+    list the discarded rows.  Banded rap's node count was re-recorded when
+    masters began to generate their rows: each generation round of an
+    integer master is a branch-and-bound of its own."""
 
     N, SEED = 2000, 11
     GOLDEN = {
@@ -545,7 +625,7 @@ class TestGoldenDraw:
     }
     # the instance's semi-continuous band, so the masters are integer
     BANDED = {
-        "rap": ("1.143548907536412", 15, 22, 0,
+        "rap": ("1.143548907536412", 15, 33, 0,
                 [21, 64, 236, 237, 391, 860, 957, 1042, 1226, 1300, 1388,
                  1573, 1654, 1900]),
         "asm1": ("1.143548907536412", 1, 19, 0, []),
@@ -591,8 +671,8 @@ class TestCyclingDraw:
 
 class TestWallTime:
     def test_between_lp_time_and_elapsed(self, monkeypatch):
-        spent = []
-        solve = lp.lp_solve
+        spent, masters = [], []
+        solve, master_solve = lp.lp_solve, _Master.solve
 
         def timed(*args, **kwargs):
             t0 = time.perf_counter()
@@ -601,13 +681,20 @@ class TestWallTime:
             finally:
                 spent.append(time.perf_counter() - t0)
 
+        def counted(master):
+            masters.append(master)
+            return master_solve(master)
+
         monkeypatch.setattr(lp, "lp_solve", timed)
+        monkeypatch.setattr(_Master, "solve", counted)
         sc, spec, _ = make_instance(28, n_scen=300)
         budget = ScenarioBudget(300, 6, 1e-6)
         for name in ("grp", "fgrp", "pnd", "asm1", "asm2", "asm3"):
             spent.clear()
+            masters.clear()
             t0 = time.perf_counter()
             rep = run_method(name, sc, spec, budget, seed=3)
             elapsed = time.perf_counter() - t0
-            assert len(spent) == rep.lp_solves, name
+            # a generation loop is one master solve of one or more LP solves
+            assert len(masters) == rep.lp_solves <= len(spent), name
             assert sum(spent) <= rep.wall_time <= elapsed, name

@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ccsaa import lp
 from ccsaa.certificate import ScenarioBudget
 from ccsaa.data import default_instance
+from ccsaa.errors import ConfigError
 from ccsaa.gaussian import sample_scenarios
 from ccsaa.heuristics import run_method
 from ccsaa.lp import LpModel, lp_solve
@@ -67,6 +69,13 @@ class TestBigM:
         sc = ScenarioSet(np.ones((3, 2)))
         with pytest.raises(ValueError):
             build_saa_bigm(sc, 0.9, 3, [1.0, 1.0])
+
+    def test_a_model_larger_than_memory_is_refused(self):
+        # N = 1e6 needs 8 TB; the stand-in has no returns, so reading them
+        # (big_m_values) or allocating the model would fail otherwise
+        huge = SimpleNamespace(n_scenarios=1_000_000, n_assets=3)
+        with pytest.raises(ConfigError, match="physical memory"):
+            build_saa_bigm(huge, 0.95, 10, [1.05, 1.08, 1.0])
 
     def test_random_small_matches_brute_force(self):
         rng = np.random.default_rng(3)
