@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 
 from ccsaa import default_instance, lp, sample_scenarios
 from ccsaa.lp import LpModel, lp_solve, dual_objective
-from ccsaa.mip import build_saa_bigm
+from ccsaa.mip import build_saa_bigm, mip_solve
 from ccsaa.saa import ScenarioSet, build_saa_lp
 
 from oracles import vertex_enumeration_lp
@@ -213,58 +213,6 @@ class TestEdits:
             m.remove_row(3)
 
 
-def edit_shapes(rng):
-    """Scenario-program LPs whose edits stress the ratio test and the dual
-    leaving row: duplicated rows with extra rows tight at the optimum, rows
-    of constant coefficients, capacity rows without a budget row, and the
-    relaxation of a big-M model."""
-    m, returns = scenario_lp(rng, 100)
-    m.add_rows(returns, ">=", np.full(100, 0.95))
-    m.add_rows(returns[:30], ">=", np.full(30, 0.95))
-    x = lp_solve(m).x
-    for a in rng.normal(1.0, 0.1, size=(20, 4)):
-        m.add_row(a, ">=", float(a @ x))           # tight at x
-    m.obj = m.obj + rng.normal(0.0, 0.02, m.n_cols)
-    yield m
-    m, _ = scenario_lp(rng, 200)
-    m.add_row(np.ones(4), "<=", 1.0)
-    m.add_row(np.full(4, 0.5), ">=", 0.5)
-    m.add_row(np.zeros(4), "<=", 1.0)
-    yield m
-    m = LpModel(rng.uniform(0.5, 1.5, 4), upper=np.ones(4))
-    m.add_rows(1.0 + rng.normal(0.0, 0.15, size=(300, 4)), "<=", np.ones(300))
-    yield m
-    returns = 1.0 + rng.normal(0.05, 0.2, size=(40, 3))
-    returns[:, -1] = 1.0
-    yield build_saa_bigm(ScenarioSet(returns), 0.95, 3,
-                         np.array([1.06, 1.09, 1.0])).base
-
-
-def release_binding(m, rng, rounds):
-    """Remove a binding row, re-adding some removed rows as new ones (the
-    removal heuristics' edit pattern), and after each edit check the warm
-    re-solve against a cold one."""
-    removed = []
-    sol = lp_solve(m)
-    assert sol.status == lp.OPTIMAL
-    for _ in range(rounds):
-        ids = m.row_ids()
-        ids = ids[m._rel[ids] != lp.EQ]
-        tight = ids[np.abs(sol.slacks_for(ids)) <= 1e-9]
-        if tight.size == 0:
-            break
-        rid = int(tight[rng.integers(tight.size)])
-        removed.append(m.row(rid))
-        m.remove_row(rid)
-        if rng.random() < 0.3:
-            m.add_row(*removed.pop(0))
-        sol = lp_solve(m)
-        cold = lp_solve(m, from_scratch=True)
-        assert sol.status == cold.status == lp.OPTIMAL
-        assert sol.objective_value == pytest.approx(cold.objective_value,
-                                                    abs=1e-8)
-
-
 class TestWarmStarts:
     def test_warm_equals_cold_over_edit_sequences(self):
         rng = np.random.default_rng(17)
@@ -289,11 +237,6 @@ class TestWarmStarts:
                     assert warm.objective_value == pytest.approx(
                         cold.objective_value, abs=1e-8)
                 sol = warm if warm.status == lp.OPTIMAL else sol
-        # scenario-program shapes under the removal heuristics' edits
-        for seed in range(4):
-            rng = np.random.default_rng(20 + seed)
-            for m in edit_shapes(rng):
-                release_binding(m, rng, 15)
 
     def test_explicit_warm_basis_round_trip(self):
         rng = np.random.default_rng(23)
@@ -690,6 +633,196 @@ def scenario_lp(rng, n_scen, n_assets=4):
     m.add_row(np.ones(n_assets), "=", 1.0)
     m.add_rows(returns, ">=", np.full(n_scen, 0.95))
     return m, returns
+
+
+# ----------------------------------------------------------------------
+# the ratio test, dual leaving row and feasibility check on scenario-program
+# shapes, against a reference pass that recomputes every slot's slack
+# ----------------------------------------------------------------------
+
+def full_slacks(eng):
+    m = eng.m
+    ns = m._n_slots
+    return m._rhs[:ns] - m._A[:ns] @ eng.x
+
+
+def basic_mask(eng):
+    ns = eng.m._n_slots
+    return eng.m._alive[:ns] & (eng.ss[:ns] == lp.BASIC)
+
+
+def full_ratio(eng, dx):
+    """The least step of a basic slack to its limit along dx, and the
+    smallest slot within _TIE of it."""
+    m = eng.m
+    ns = m._n_slots
+    ds, s = -(m._A[:ns] @ dx), full_slacks(eng)
+    slo, shi, mask = m._slo[:ns], m._shi[:ns], basic_mask(eng)
+    thetas = np.full(ns, np.inf)
+    down = mask & (ds < -lp.TOL_PIVOT) & np.isfinite(slo)
+    up = mask & (ds > lp.TOL_PIVOT) & np.isfinite(shi)
+    thetas[down] = np.maximum(s[down] - slo[down], 0.0) / (-ds[down])
+    thetas[up] = np.maximum(shi[up] - s[up], 0.0) / ds[up]
+    if not (down.any() or up.any()):
+        return np.inf, -1
+    theta = thetas.min()
+    return theta, int(np.flatnonzero(thetas <= theta + lp._TIE)[0])
+
+
+def full_leaving(eng, bland):
+    """The dual leaving row over every slot."""
+    m = eng.m
+    ns = m._n_slots
+    s, mask = full_slacks(eng), basic_mask(eng)
+    below = np.where(mask, m._slo[:ns] - s, -np.inf)
+    above = np.where(mask, s - m._shi[:ns], -np.inf)
+    viol = np.maximum(below, above)
+    viol[viol < lp.TOL_FEAS] = 0.0
+    if viol.max(initial=0.0) <= 0.0:
+        return None, None, 0.0
+    slot = int(np.flatnonzero(viol > 0.0)[0] if bland else np.argmax(viol))
+    return slot, +1 if below[slot] >= above[slot] else -1, float(viol[slot])
+
+
+def full_infeasibility(eng):
+    m = eng.m
+    ns = m._n_slots
+    v = 0.0
+    if eng.T:
+        xt = eng.x[eng.T]
+        v = max(v, float(np.max(np.maximum(m.lb[eng.T] - xt, 0.0))))
+        v = max(v, float(np.max(np.maximum(xt - m.ub[eng.T], 0.0))))
+    s, mask = full_slacks(eng), basic_mask(eng)
+    v = max(v, float(np.max(np.maximum(m._slo[:ns] - s, 0.0)[mask], initial=0.0)))
+    v = max(v, float(np.max(np.maximum(s - m._shi[:ns], 0.0)[mask], initial=0.0)))
+    return v
+
+
+class PassCheck:
+    """Compares each ratio test, dual leaving row and feasibility check of
+    the engine with the reference pass over the same state, and counts the
+    comparisons.  The reference reads no cached slack, so a stale cache
+    shows as a mismatch."""
+
+    def __init__(self, monkeypatch):
+        self.compared = 0
+        E = lp._Engine
+        ratio, leaving, infeas = (E._slack_ratio, E._leaving_slack,
+                                  E._primal_infeasibility)
+
+        def checked_ratio(eng, dx):
+            want = full_ratio(eng, dx)
+            got = ratio(eng, dx)
+            assert got[1] == want[1]
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            self.compared += 1
+            return got
+
+        def checked_leaving(eng, bland):
+            want = full_leaving(eng, bland)
+            got = leaving(eng, bland)
+            assert got[:2] == want[:2]
+            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
+            self.compared += 1
+            return got
+
+        def checked_infeasibility(eng):
+            want = full_infeasibility(eng)
+            got = infeas(eng)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            self.compared += 1
+            return got
+
+        monkeypatch.setattr(E, "_slack_ratio", checked_ratio)
+        monkeypatch.setattr(E, "_leaving_slack", checked_leaving)
+        monkeypatch.setattr(E, "_primal_infeasibility", checked_infeasibility)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    return PassCheck(monkeypatch)
+
+
+def release_binding(m, rng, rounds):
+    """Remove a binding row, re-adding some removed rows as new ones (the
+    removal heuristics' edit pattern), and after each edit check the warm
+    re-solve against a cold one."""
+    removed = []
+    sol = lp_solve(m)
+    assert sol.status == lp.OPTIMAL
+    for _ in range(rounds):
+        ids = m.row_ids()
+        ids = ids[m._rel[ids] != lp.EQ]
+        tight = ids[np.abs(sol.slacks_for(ids)) <= 1e-9]
+        if tight.size == 0:
+            break
+        rid = int(tight[rng.integers(tight.size)])
+        removed.append(m.row(rid))
+        m.remove_row(rid)
+        if rng.random() < 0.3:
+            m.add_row(*removed.pop(0))
+        sol = lp_solve(m)
+        cold = lp_solve(m, from_scratch=True)
+        assert sol.status == cold.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(cold.objective_value,
+                                                    abs=1e-8)
+
+
+class TestScreen:
+    """The LP shapes that once exercised a row screen in the engine: each
+    evaluation is checked against the reference pass, and each warm
+    re-solve against a cold one."""
+
+    def test_scenario_lp_with_budget_row(self, passes):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m, _ = scenario_lp(rng, 300)
+            release_binding(m, rng, 15)
+        assert passes.compared > 100
+
+    def test_rows_without_a_budget_row(self, passes):
+        # capacity rows r.x <= 1 in a box: sum(dx) moves freely
+        for seed in range(4):
+            rng = np.random.default_rng(10 + seed)
+            m = LpModel(rng.uniform(0.5, 1.5, 4), upper=np.ones(4))
+            m.add_rows(1.0 + rng.normal(0.0, 0.15, size=(300, 4)), "<=",
+                       np.ones(300))
+            release_binding(m, rng, 15)
+        assert passes.compared > 100
+
+    def test_degenerate_ties(self, passes):
+        # every row twice or three times, then rows through the optimum
+        for seed in range(6):
+            rng = np.random.default_rng(20 + seed)
+            m, returns = scenario_lp(rng, 100)
+            m.add_rows(returns, ">=", np.full(100, 0.95))
+            m.add_rows(returns[:30], ">=", np.full(30, 0.95))
+            sol = lp_solve(m)
+            for a in rng.normal(1.0, 0.1, size=(20, 4)):
+                m.add_row(a, ">=", float(a @ sol.x))       # tight at x
+            m.obj = m.obj + rng.normal(0.0, 0.02, m.n_cols)
+            release_binding(m, rng, 40)
+        assert passes.compared > 50
+
+    def test_rows_of_zero_radius(self, passes):
+        # constant rows, tight or not, are evaluated at every step
+        for seed in range(4):
+            rng = np.random.default_rng(30 + seed)
+            m, _ = scenario_lp(rng, 200)
+            m.add_row(np.ones(4), "<=", 1.0)
+            m.add_row(np.full(4, 0.5), ">=", 0.5)
+            m.add_row(np.zeros(4), "<=", 1.0)
+            release_binding(m, rng, 15)
+        assert passes.compared > 50
+
+    def test_big_m_model(self, passes):
+        rng = np.random.default_rng(50)
+        returns = 1.0 + rng.normal(0.05, 0.2, size=(40, 3))
+        returns[:, -1] = 1.0
+        res = mip_solve(build_saa_bigm(ScenarioSet(returns), 0.95, 3,
+                                       np.array([1.06, 1.09, 1.0])))
+        assert res.status == lp.OPTIMAL
+        assert passes.compared > 100
 
 
 class TestSolutionSlacks:
