@@ -114,19 +114,19 @@ def validate_solution(x, instance: Instance, test_set_size: int, seed: int,
 
 def _violation_rate(x, instance: Instance, test: ScenarioSet, beta=None):
     """Violation rate of x on a given test set, with its upper limit."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (instance.n_assets,):
-        raise ConfigError(f"solution has dimension {x.shape}, expected "
-                          f"({instance.n_assets},)")
     beta = instance.beta if beta is None else beta
-    violations = evaluate_outcomes(x, test, instance.program_spec).violation_count
+    try:
+        violations = evaluate_outcomes(x, test,
+                                       instance.program_spec).violation_count
+    except ValueError as e:    # a non-finite x, or one of the wrong dimension
+        raise ConfigError(f"solution rejected: {e}") from None
     rate = violations / test.n_scenarios
     upper = binomial_upper_limit(violations, test.n_scenarios, 1.0 - beta)
     return rate, upper
 
 
 def _trial_row(method, inst, scenarios, budget, trial, seed, test, cfg, semi,
-               time_limit, eps=None):
+               time_limit, eps=None, base=None):
     """Run one method on a training set and validate it on ``test``: the
     TrialRow, status ``time_limit`` past ``time_limit``, and the report.
 
@@ -142,8 +142,8 @@ def _trial_row(method, inst, scenarios, budget, trial, seed, test, cfg, semi,
         rep.train_violations = evaluate_outcomes(
             rep.x, scenarios, inst.program_spec).violation_count
     else:
-        rep = run_method(method, scenarios, inst.program_spec, budget,
-                         cfg=cfg, seed=seed, semi=semi, time_limit=time_limit)
+        rep = run_method(method, scenarios, inst.program_spec, budget, cfg=cfg,
+                         seed=seed, semi=semi, time_limit=time_limit, base=base)
     rate, upper = _violation_rate(rep.x, inst, test)
     status = rep.status
     if time_limit is not None and rep.wall_time > time_limit:
@@ -164,8 +164,12 @@ def _trial_worker(config: ExperimentConfig, N, budget, trial):
     # one test set per trial, shared by every method like the training set
     test = sample_scenarios(inst.model, config.test_set_size,
                             test_seed(config.base_seed, trial))
+    # asm1, asm2 and asm3 share one ASM-1 run
+    base = (run_method("asm1", scenarios, inst.program_spec, budget, cfg=cfg,
+                       seed=seed, semi=semi, time_limit=config.time_limit)
+            if any(m.startswith("asm") for m in config.methods) else None)
     return [_trial_row(method, inst, scenarios, budget, trial, seed, test,
-                       cfg, semi, config.time_limit)[0]
+                       cfg, semi, config.time_limit, base=base)[0]
             for method in config.methods]
 
 

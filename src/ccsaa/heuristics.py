@@ -177,16 +177,16 @@ class _Master:
     def best_removal(self, order, admissible=None, floor=-np.inf, first=False):
         """Trial-remove each scenario of ``order``, re-keeping it after, and
         keep removed the best trial whose objective beats ``floor`` by more
-        than 1e-12 and whose x ``admissible`` accepts (returns other than
-        None; asked only past that bar), or the first such when ``first``.
+        than 1e-12 and whose outcomes ``admissible`` accepts (returns other
+        than None; asked only past that bar), or the first such when ``first``.
         The master is left at that trial's solution, or at its entry one,
         without another solve: (scenario, objective, verdict) or None."""
         kept, state = None, (self._sol, self.outcomes)
         for i in order:
             self.remove(i)
-            x, obj = self.solve()
+            _, obj = self.solve()
             if obj > floor + 1e-12:
-                verdict = True if admissible is None else admissible(x)
+                verdict = admissible(self.outcomes) if admissible else True
                 if verdict is not None:
                     kept, floor = (i, obj, verdict), obj
                     if first:
@@ -375,9 +375,8 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
         return master.report(method, obj, seed=seed, status=status,
                              violations=violations)
 
-    def certified(x):
-        count = evaluate_outcomes(x, scenarios, spec).violation_count
-        return count if count <= k else None
+    def certified(out):
+        return out.violation_count if out.violation_count <= k else None
 
     while not master.out_of_time(time_limit):
         order = master.binding()
@@ -528,10 +527,11 @@ DUAL_METHODS = ("fgrp", "fpnd", "asm3")
 
 def run_method(name: str, scenarios, spec, budget: ScenarioBudget,
                cfg: AsmConfig | None = None, seed=None, semi=None,
-               time_limit=None) -> SolveReport:
+               time_limit=None, base: SolveReport | None = None) -> SolveReport:
     """Dispatch one method by its tag: a heuristic of ``METHODS``, or
     ``exact-mip``, the big-M branch-and-bound.  Dual-based tags refuse
-    ``semi``."""
+    ``semi``.  Given ``base``, ASM-1's report for the same arguments, the
+    asm tags use it instead of running ASM-1."""
     if name not in METHODS + ("exact-mip",):
         raise ConfigError(f"unknown method {name!r}")
     if semi is not None and name in DUAL_METHODS:
@@ -554,8 +554,9 @@ def run_method(name: str, scenarios, spec, budget: ScenarioBudget,
     if name in ("pnd", "fpnd"):
         return pool_and_discard(scenarios, spec, budget, fast=(name == "fpnd"),
                                 seed=seed, semi=semi, time_limit=time_limit)
-    base = active_set(scenarios, spec, budget, cfg=cfg, semi=semi,
-                      time_limit=time_limit, seed=seed)
+    if base is None:
+        base = active_set(scenarios, spec, budget, cfg=cfg, semi=semi,
+                          time_limit=time_limit, seed=seed)
     if name == "asm1":
         return base
     # the polish gets what ASM-1 left of the limit

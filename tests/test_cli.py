@@ -58,6 +58,14 @@ class TestValidate:
         with pytest.raises(ConfigError):
             validate_solution(np.ones(2), inst, 100, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_solution(self, bad):
+        from ccsaa.errors import ConfigError
+        x = np.zeros(4)
+        x[0] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            validate_solution(x, small_instance(), 100, seed=0)
+
 
 class TestRunExperiment:
     def test_single_trial_full(self):
@@ -185,6 +193,45 @@ class TestRunExperiment:
         rows = cli._trial_worker(config, 100, budget, 0)
         assert rows[0].wall_time > 0.3
         assert rows[0].status == "time_limit"
+
+    def test_one_asm1_run_per_trial(self, monkeypatch):
+        inst = small_instance(seed=2)
+        config = ExperimentConfig(instance=inst,
+                                  methods=["asm1", "asm2", "asm3"],
+                                  n_grid=[300], trials=2, base_seed=23,
+                                  test_set_size=2000)
+        calls = []
+        active_set = heuristics.active_set
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return active_set(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics, "active_set", counted)
+        rows, _ = run_experiment(config)
+        assert len(calls) == config.trials
+        budget = max_removals(300, inst.risk_spec)
+        cfg = heuristics.AsmConfig(w=config.w)
+        for trial in range(config.trials):
+            seed = cli.scenario_seed(23, trial)
+            sc = sample_scenarios(inst.model, 300, seed)
+            test = sample_scenarios(inst.model, 2000, cli.test_seed(23, trial))
+            got = {r.method: r for r in rows if r.trial == trial}
+            for method in config.methods:
+                # each tag running its own ASM-1, as before the runs were shared
+                want, rep = cli._trial_row(method, inst, sc, budget, trial,
+                                           seed, test, cfg, None,
+                                           config.time_limit)
+                assert rep.lp_solves > got["asm1"].lp_solves or method == "asm1"
+                for column in RAW_COLUMNS:
+                    if column != "wall_time":
+                        assert (getattr(got[method], column)
+                                == getattr(want, column)), (method, column)
+            # a polish's wall time includes the shared ASM-1 run
+            assert got["asm2"].wall_time >= got["asm1"].wall_time
+            assert got["asm3"].wall_time >= got["asm1"].wall_time
+        # the old path above ran ASM-1 once per tag
+        assert len(calls) == (1 + len(config.methods)) * config.trials
 
     def test_config_validation(self):
         from ccsaa.errors import ConfigError
@@ -487,6 +534,17 @@ class TestCommandLine:
         with open(outdir / "sweep_w.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_validate_refuses_a_non_finite_solution(self, tmp_path, capsys,
+                                                    bad):
+        inst_path, report = tmp_path / "inst.json", tmp_path / "r.json"
+        write_instance(inst_path, small_instance(seed=9))
+        report.write_text(f"[{bad}, 0, 0, 1]\n")
+        rc = main(["validate", "--report", str(report), "--instance",
+                   str(inst_path), "--test-size", "500"])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         rc = main(["solve", "--instance", str(tmp_path / "missing.json"),

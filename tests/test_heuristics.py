@@ -195,6 +195,33 @@ class TestPoolAndDiscard:
         assert certify(fast.x, sc, budget, spec)
         assert certify(slow.x, sc, budget, spec)
 
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_one_evaluation_per_lp_solve(self, fast, monkeypatch):
+        # a discard trial is certified off the outcomes its solve evaluated
+        sc, spec, _ = make_instance(16, n_risky=3, n_scen=60, alpha=0.97)
+        budget = ScenarioBudget(60, 4, 1e-6)
+        counts = {"evaluate": 0, "lp": 0, "asked": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(heuristics, "evaluate_outcomes",
+                            counted("evaluate", heuristics.evaluate_outcomes))
+        monkeypatch.setattr(lp, "lp_solve", counted("lp", lp.lp_solve))
+        best_removal = _Master.best_removal
+
+        def watched(self, order, admissible=None, **kwargs):
+            return best_removal(self, order, counted("asked", admissible),
+                                **kwargs)
+
+        monkeypatch.setattr(_Master, "best_removal", watched)
+        rep = pool_and_discard(sc, spec, budget, fast=fast)
+        assert counts["asked"] > 0          # the discard phase tried trials
+        assert counts["evaluate"] == counts["lp"] == rep.lp_solves
+
     def test_fast_refuses_integer_master(self):
         sc, spec, _ = make_instance(18)
         budget = ScenarioBudget(30, 2, 1e-6)

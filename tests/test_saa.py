@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccsaa import saa
 from ccsaa.certificate import ScenarioBudget
 from ccsaa.lp import lp_solve
 from ccsaa.saa import (VIOLATION_TOL, ChanceProgramSpec, OutcomeVector,
@@ -157,6 +158,14 @@ class TestOutcomes:
         with pytest.raises(ValueError):
             evaluate_outcomes(np.array([0.5, 0.5]), sc, spec)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("others", [0.0, 0.5])   # sparse and dense x
+    def test_non_finite_x_is_refused(self, bad, others):
+        sc = ScenarioSet(np.ones((2, 3)))
+        spec = ChanceProgramSpec(0.9, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_outcomes(np.array([bad, others, others]), sc, spec)
+
 
 class TestCertify:
     def test_huge_allowance(self):
@@ -242,3 +251,46 @@ class TestRankingAgainstReferences:
         x = rng.dirichlet(np.ones(6))
         values = evaluate_outcomes(x, sc, ChanceProgramSpec(0.97, np.ones(6))).values
         assert np.array_equal(values, 0.97 - sc.returns @ x)
+
+
+class TestSupportEvaluation:
+    """An x with few nonzero assets is evaluated over its support in row
+    blocks; it must agree with the one dense product ``alpha - returns @ x``
+    up to rounding, and exactly where the dense branch is taken."""
+
+    def test_random_supports_against_the_product(self):
+        rng = np.random.default_rng(23)
+        n = 21
+        N = 2 * saa._BLOCK + 1_234      # three blocks, the last one short
+        sc = ScenarioSet(rng.normal(1.0, 0.1, size=(N, n)))
+        spec = ChanceProgramSpec(1.0, np.ones(n))   # about half violated
+        for size in range(1, n + 1):
+            for signed in (False, True):
+                x = np.zeros(n)
+                support = rng.choice(n, size, replace=False)
+                x[support] = (rng.normal(size=size) / size if signed
+                              else rng.dirichlet(np.ones(size)))
+                out = evaluate_outcomes(x, sc, spec)
+                want = spec.alpha - sc.returns @ x
+                if size > saa._DENSE_SHARE * n:
+                    assert np.array_equal(out.values, want)
+                scale = spec.alpha + np.abs(sc.returns) @ np.abs(x)
+                assert np.all(np.abs(out.values - want)
+                              <= 4 * np.spacing(scale)), (size, signed)
+                violated = np.zeros(N, dtype=bool)
+                violated[out.violated] = True
+                far = np.abs(want - VIOLATION_TOL) > 1e-12
+                assert np.array_equal(violated[far],
+                                      (want > VIOLATION_TOL)[far])
+
+    def test_zero_x_and_one_short_block(self):
+        rng = np.random.default_rng(24)
+        sc = ScenarioSet(rng.normal(1.0, 0.1, size=(500, 7)))
+        spec = ChanceProgramSpec(0.97, np.ones(7))
+        out = evaluate_outcomes(np.zeros(7), sc, spec)
+        assert np.array_equal(out.values, np.full(500, 0.97))
+        x = np.zeros(7)
+        x[[1, 4]] = [0.25, 0.75]
+        values = evaluate_outcomes(x, sc, spec).values
+        assert np.array_equal(
+            values, 0.97 - (sc.returns[:, 1] * 0.25 + sc.returns[:, 4] * 0.75))
