@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lp, saa
+from . import lp, mip, saa
 from .certificate import ScenarioBudget
 from .errors import CapExceeded, ConfigError, InfeasibleModel, UnsupportedForMip
 from .mip import MipModel, SemiContinuousSpec, banded, exact_mip, mip_solve
@@ -86,12 +86,22 @@ class _Master:
     Every master starts with the budget row alone.  ``enforced`` lists E in
     ascending index order; its O(N) scan costs less than the evaluation that
     each solve makes.
-    ``started`` is the method's clock: deadlines and the reported wall time
-    run from the master's construction.
+    A solve with no row added or dropped since the last one returns the
+    last solution and counts as a master solve: optimal over W and
+    violating no kept scenario, that solution stays optimal when a rowless
+    scenario leaves E.  A solve that returns the last asset block bit for
+    bit keeps its outcomes.
+    ``started`` is the method's clock, from which its deadlines and reported
+    wall time run, and ``time_limit`` its limit (None: none); an integer
+    master's branch-and-bound gets what is left of it.  One stopped there
+    expires the master: that solve and later ones return the last complete
+    search's solution (without one, the stopped search's point, as
+    ``exact_mip`` reports it), and reports carry status ``time_limit``.
     """
 
     def __init__(self, scenarios: ScenarioSet, spec: ChanceProgramSpec,
-                 subset, semi: SemiContinuousSpec | None = None):
+                 subset, semi: SemiContinuousSpec | None = None,
+                 time_limit=None):
         self.started = time.perf_counter()
         self.scenarios = scenarios
         self.spec = spec
@@ -108,10 +118,14 @@ class _Master:
         self.mip_nodes = 0
         self._sol = None            # last LpSolution, or MipResult
         self.outcomes = None        # OutcomeVector at the last solution
+        self.time_limit = time_limit
+        self._edited = True         # rows changed since the last solve
+        self.expired = False        # a branch-and-bound stopped at the limit
 
-    def out_of_time(self, time_limit) -> bool:
-        return (time_limit is not None
-                and time.perf_counter() - self.started > time_limit)
+    def out_of_time(self) -> bool:
+        return self.expired or (
+            self.time_limit is not None
+            and time.perf_counter() - self.started > self.time_limit)
 
     @property
     def x(self) -> np.ndarray:
@@ -120,38 +134,47 @@ class _Master:
 
     def solve(self):
         """Solve over W and generate rows until no kept scenario is
-        violated; the rounds count as one master solve."""
-        while True:
+        violated; the rounds count as one master solve (none once expired)."""
+        self.solves += not self.expired
+        n = self.scenarios.n_assets
+        while self._edited and not self.expired:
             if self.mip is not None:
-                sol = mip_solve(self.mip,
+                left = (mip.DEFAULT_TIME_LIMIT if self.time_limit is None else
+                        self.time_limit - (time.perf_counter() - self.started))
+                sol = mip_solve(self.mip, time_limit=left,
                                 warm=None if self._sol is None else self._sol.x)
                 self.mip_nodes += sol.node_count
+                self.expired = sol.status == STATUS_TIME_LIMIT
+                if self.expired:
+                    if self._sol is not None:
+                        break
+                    sol = replace(sol, objective_value=float(
+                        self.spec.objective @ sol.x[:n]))
             else:
                 sol = lp.lp_solve(self.model)
-            if sol.status != lp.OPTIMAL:
+            if sol.status not in (lp.OPTIMAL, STATUS_TIME_LIMIT):
                 raise InfeasibleModel(f"master solve returned {sol.status}")
-            self._sol = sol
-            out = self.outcomes = evaluate_outcomes(self.x, self.scenarios,
-                                                    self.spec)
+            if self._sol is None or not np.array_equal(sol.x[:n], self.x):
+                self.outcomes = evaluate_outcomes(sol.x[:n], self.scenarios,
+                                                  self.spec)
+            self._sol, self._edited, out = sol, False, self.outcomes
             if not self._rowless:
                 break
             need = out.violated
             need = need[self.kept[need] & (self.row_of[need] < 0)]
-            if need.size == 0:
-                break
             if need.size > _ROW_BATCH:
                 worst = np.lexsort((need, -out.values[need]))[:_ROW_BATCH]
                 need = np.sort(need[worst])
             for i in need:
                 self._give_row(i)
             self._rowless -= need.size
-        self.solves += 1
-        return self.x, float(sol.objective_value)
+        return self.x, float(self._sol.objective_value)
 
     # -- row management -------------------------------------------------
     def _give_row(self, i):
         self.row_of[i] = saa.add_scenario_row(self.model, self.scenarios,
                                               self.spec, i)
+        self._edited = True
 
     def add(self, i: int):
         """Keep scenario i and give it a row."""
@@ -164,7 +187,7 @@ class _Master:
         """Un-keep scenario i, dropping its row if it has one."""
         if self.row_of[i] >= 0:
             self.model.remove_row(int(self.row_of[i]))
-            self.row_of[i] = -1
+            self.row_of[i], self._edited = -1, True
         else:
             self._rowless -= 1
         self.kept[i] = False
@@ -250,7 +273,8 @@ class _Master:
             working_set=self.working_set() if working_set is None else working_set,
             lp_solves=self.solves, mip_nodes=self.mip_nodes,
             wall_time=time.perf_counter() - self.started + extra_time,
-            train_violations=int(violations), seed=seed, status=status)
+            train_violations=int(violations), seed=seed,
+            status=STATUS_TIME_LIMIT if self.expired else status)
 
 
 def _largest_dual(scenarios, duals):
@@ -269,10 +293,11 @@ def _removal(scenarios, spec, method, k, pick, first=True, semi=None,
     """Solve with every scenario kept, then k rounds, each trial-removing
     the scenarios ``pick(master)`` lists and keeping the best (the first
     when ``first``)."""
-    master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi)
+    master = _Master(scenarios, spec, range(scenarios.n_scenarios), semi=semi,
+                     time_limit=time_limit)
     _, obj = master.solve()
     for _ in range(k):
-        if master.out_of_time(time_limit):
+        if master.out_of_time():
             return master.report(method, obj, seed=seed,
                                  status=STATUS_TIME_LIMIT)
         _, obj, _ = master.best_removal(pick(master), first=first)
@@ -330,7 +355,7 @@ def _insert(scenarios, spec, method, pick, semi=None, seed=None,
     """Solve the empty master, then enforce ``pick(out)``, the scenario
     chosen from the outcomes at the last solution, and re-solve, until it
     returns None: (master, objective, violation count, status) at the end."""
-    master = _Master(scenarios, spec, [], semi=semi)
+    master = _Master(scenarios, spec, [], semi=semi, time_limit=time_limit)
     _, obj = master.solve()
     for additions in itertools.count():
         out = master.outcomes
@@ -342,7 +367,7 @@ def _insert(scenarios, spec, method, pick, semi=None, seed=None,
                 f"{method}: addition cap exceeded",
                 report=master.report(method, obj, seed=seed, status=STATUS_CAP,
                                      violations=out.violation_count))
-        if master.out_of_time(time_limit):
+        if master.out_of_time():
             return master, obj, out.violation_count, STATUS_TIME_LIMIT
         master.add(i)
         _, obj = master.solve()
@@ -378,7 +403,7 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
     def certified(out):
         return out.violation_count if out.violation_count <= k else None
 
-    while not master.out_of_time(time_limit):
+    while not master.out_of_time():
         order = master.binding()
         if not order:
             break
@@ -443,7 +468,7 @@ def _polish(report: SolveReport, method, rows, scenarios, spec,
     if report.train_violations > k:
         raise ValueError("polish input must be certified")
     master = _Master(scenarios, spec, list(report.working_set.scenario_indices),
-                     semi=semi)
+                     semi=semi, time_limit=time_limit)
     master.solves, master.mip_nodes = report.lp_solves, report.mip_nodes
     best = (report.x, report.objective, report.train_violations,
             report.working_set.copy())
@@ -453,7 +478,7 @@ def _polish(report: SolveReport, method, rows, scenarios, spec,
     swap_in, status = None, STATUS_OK
     # each call sends the last swap-in back; the generator's end ends the loop
     for s in iter(lambda: rows.send(swap_in), None):
-        if master.out_of_time(time_limit):
+        if master.out_of_time():
             status = STATUS_TIME_LIMIT
             break
         master.remove(s)
@@ -467,7 +492,8 @@ def _polish(report: SolveReport, method, rows, scenarios, spec,
                 master.add(swap_in)
                 x, obj = master.solve()
                 out = master.outcomes
-        if out.violation_count < test and obj > best[1] + 1e-12:
+        if (out.violation_count < test and obj > best[1] + 1e-12
+                and not master.expired):
             best = (x, obj, out.violation_count, master.working_set())
     x, obj, violations, ws = best
     return master.report(method, obj, seed=report.seed, x=x, working_set=ws,

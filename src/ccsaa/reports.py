@@ -30,7 +30,9 @@ class WorkingSet:
 class SolveReport:
     """One method run: solution, bookkeeping counters, and training stats.
     ``lp_solves`` counts master solves, a row generation loop as one (for
-    exact-mip and socp: the LP solves of their search)."""
+    exact-mip and socp: the LP solves of their search).  ``mip_nodes``
+    counts the nodes of the branch-and-bound runs actually made: a master
+    solve skipped after a rowless removal adds none."""
 
     method: str
     x: np.ndarray

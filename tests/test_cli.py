@@ -441,6 +441,27 @@ class TestCommandLine:
         assert rc == 3
         assert "status=time_limit" in capsys.readouterr().out
 
+    def test_banded_solve_stops_its_master_at_the_time_limit(
+            self, tmp_path, capsys, monkeypatch):
+        # the master's branch-and-bound gets what is left of the limit and
+        # stops after its root; the run is time_limit, exit 3
+        limits = []
+
+        def recorded(model, warm=None, time_limit=None):
+            limits.append(time_limit)
+            return mip_solve(model, warm=warm, time_limit=time_limit)
+
+        monkeypatch.setattr(heuristics, "mip_solve", recorded)
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, small_instance(seed=6))
+        rc = main(["solve", "--instance", str(inst_path), "--method", "rap",
+                   "--semicontinuous", "--n-scenarios", "200", "--seed", "7",
+                   "--time-limit", "0"])
+        assert rc == 3
+        out = capsys.readouterr().out
+        assert "status=time_limit" in out and " nodes=1 " in out
+        assert len(limits) == 1 and limits[0] < 0
+
     @pytest.mark.parametrize("method", ["rap", "socp", "asm2"])
     def test_solve_report_is_the_experiment_row(self, tmp_path, method):
         # solve is trial 0 of the campaign: same training and test sets

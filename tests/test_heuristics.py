@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from ccsaa.heuristics import (AsmConfig, _largest_dual, _Master, active_set,
                               pool_and_discard, polish_dual, polish_resolve,
                               random_removal, run_method, solve_full)
 from ccsaa.lp import lp_solve
-from ccsaa.mip import (GAP, MipModel, SemiContinuousSpec, banded,
-                       build_saa_bigm, mip_solve)
+from ccsaa.mip import (DEFAULT_TIME_LIMIT, GAP, MipModel,
+                       SemiContinuousSpec, banded, build_saa_bigm, mip_solve)
 from ccsaa.saa import (VIOLATION_TOL, ChanceProgramSpec, ScenarioSet,
                        build_saa_lp, certify, evaluate_outcomes)
 
@@ -341,7 +342,7 @@ class TestTimedOutPolish:
 
     def run(self, monkeypatch, stop_at_solve):
         monkeypatch.setattr(_Master, "out_of_time",
-                            lambda self, limit: self.solves >= stop_at_solve)
+                            lambda self: self.solves >= stop_at_solve)
         sc, spec, _ = make_instance(21, n_scen=50, alpha=0.97)
         budget = ScenarioBudget(50, 2, 1e-6)
         base = active_set(sc, spec, budget, time_limit=1.0)
@@ -621,14 +622,230 @@ class TestGeneratedRows:
             assert (master.row_of >= 0).sum() < kept.size
 
 
+class TestSkippedSolves:
+    """A solve after removing a kept scenario that has no row makes no LP
+    or branch-and-bound run: it returns the last solution, which is the
+    optimum over the smaller kept set, and still counts as a master solve."""
+
+    def count_calls(self, monkeypatch, **targets):
+        """Count the calls of each ``key=(owner, name)`` under its key."""
+        counts = dict.fromkeys(targets, 0)
+        for key, (owner, name) in targets.items():
+            def call(*args, _fn=getattr(owner, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+        return counts
+
+    def walk(self, master, rng, steps, counts, semi, close):
+        """Random rowless removals, row removals and re-keeps, each followed
+        by a solve; the number of solves that made no run."""
+        discarded, skipped = [], 0
+        for _ in range(steps):
+            rowless = np.flatnonzero(master.kept & (master.row_of < 0))
+            rows = np.flatnonzero(master.row_of >= 0)
+            before, solves = dict(counts), master.solves
+            x0, obj0 = master.x.copy(), master._sol.objective_value
+            draw = rng.random()
+            if rowless.size and draw < 0.6:
+                i = int(rowless[int(rng.integers(rowless.size))])
+            elif discarded and draw < 0.8:
+                i = None
+                master.add(discarded.pop(int(rng.integers(len(discarded)))))
+            else:
+                i = int(rows[int(rng.integers(rows.size))])
+            if i is not None:
+                master.remove(i)
+                discarded.append(i)
+            x, obj = master.solve()
+            assert master.solves == solves + 1
+            if i is not None and i in rowless:
+                skipped += 1
+                assert counts == before
+                assert np.array_equal(x, x0) and obj == obj0
+            else:
+                assert counts["lp"] > before["lp"]
+            # x is feasible over E and attains a fresh master's optimum
+            out = evaluate_outcomes(x, master.scenarios, master.spec)
+            assert out.values[master.enforced].max() <= VIOLATION_TOL
+            fresh = _Master(master.scenarios, master.spec, master.enforced,
+                            semi=semi)
+            assert close(obj, fresh.solve()[1])
+        return skipped
+
+    def test_lp_master(self, monkeypatch):
+        inst = default_instance()
+        counts = self.count_calls(monkeypatch, lp=(lp, "lp_solve"),
+                                  mip=(heuristics, "mip_solve"))
+        draws = [(sample_scenarios(inst.model, 400, 5), inst.program_spec),
+                 make_instance(43, n_risky=4, n_scen=300)[:2],
+                 make_instance(44, n_risky=3, n_scen=200)[:2]]
+        for seed, (sc, spec) in enumerate(draws):
+            master = _Master(sc, spec, range(sc.n_scenarios))
+            master.solve()
+            skipped = self.walk(master, np.random.default_rng(seed), 30,
+                                counts, None,
+                                lambda got, want: abs(got - want) <= 1e-9)
+            assert skipped >= 10
+
+    def test_banded_master(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, lp=(lp, "lp_solve"),
+                                  mip=(heuristics, "mip_solve"))
+        band = SemiContinuousSpec(0.1, 0.5)
+        for seed in (41, 45):
+            sc, spec, _ = make_instance(seed, n_risky=4, n_scen=200)
+            master = _Master(sc, spec, range(200), semi=band)
+            master.solve()
+            skipped = self.walk(
+                master, np.random.default_rng(seed), 12, counts, band,
+                lambda got, want: abs(got - want) <= GAP * max(1.0, abs(want)))
+            assert skipped >= 4
+
+    def test_asm2_reuses_the_outcomes_of_an_unchanged_x(self, monkeypatch):
+        # removing a row that does not bind leaves x as it was, so its
+        # outcomes stand; the run's outputs are the recorded ones
+        counts = self.count_calls(
+            monkeypatch, evaluate=(heuristics, "evaluate_outcomes"),
+            lp=(lp, "lp_solve"))
+        golden = TestGoldenDraw()
+        rep, kept = golden.run("asm2", banded=False)
+        assert 0 < counts["evaluate"] < counts["lp"]
+        assert (repr(rep.objective), rep.lp_solves, rep.train_violations,
+                kept) == golden.GOLDEN["asm2"]
+
+
+class TestBandedTimeLimit:
+    """An integer master's branch-and-bound gets what is left of the
+    method's time limit, and one stopped there ends the method with status
+    time_limit."""
+
+    def test_first_master_stopped_reports_the_root_relaxation(self):
+        inst = default_instance()
+        sc, spec = sample_scenarios(inst.model, 300, 11), inst.program_spec
+        band, budget = inst.semicontinuous, ScenarioBudget(300, 4, 1e-6)
+        relaxed = banded(MipModel(base=build_saa_lp(sc, spec, subset=()),
+                                  binaries=[]), band, sc.n_assets,
+                         spec.cash_index)
+        root = lp_solve(relaxed.base).x[: sc.n_assets]
+        assert mip_solve(relaxed).node_count > 1    # a search to cut short
+        for name in ("grp", "rap", "pnd", "asm1", "asm2"):
+            rep = run_method(name, sc, spec, budget, seed=3, semi=band,
+                             time_limit=1e-9)
+            assert (rep.method, rep.status) == (name, "time_limit"), name
+            assert (rep.lp_solves, rep.mip_nodes) == (1, 1), name
+            assert np.allclose(rep.x, root, rtol=0, atol=1e-12), name
+            assert rep.objective == float(spec.objective @ rep.x), name
+            assert rep.train_violations == evaluate_outcomes(
+                rep.x, sc, spec).violation_count, name
+
+    def test_later_master_stopped_reports_the_last_complete_solution(
+            self, monkeypatch):
+        # stop the middle master solve that searches: the run ends at the
+        # master solve before it
+        sc, spec, _ = make_instance(47, n_risky=4, n_scen=150, alpha=0.97)
+        band = SemiContinuousSpec(0.1, 0.5)
+        budget = ScenarioBudget(150, 6, 1e-6)
+        limits, complete, stop_at = [], [], None
+        master_solve = _Master.solve
+
+        def stopping(model, warm=None, time_limit=None):
+            res = mip_solve(model, warm=warm, time_limit=time_limit)
+            limits.append(time_limit)
+            if len(limits) == stop_at:
+                return replace(res, status="time_limit", hit_time_limit=True)
+            return res
+
+        def recorded(master):
+            first = len(limits)
+            x, obj = master_solve(master)
+            if not master.expired:
+                complete.append((x.copy(), obj, first, len(limits)))
+            return x, obj
+
+        monkeypatch.setattr(heuristics, "mip_solve", stopping)
+        monkeypatch.setattr(_Master, "solve", recorded)
+        for name, limit in (("rap", None), ("asm1", 50.0)):
+            stop_at = None
+            limits.clear()
+            complete.clear()
+            full = run_method(name, sc, spec, budget, seed=3, semi=band,
+                              time_limit=limit)
+            assert full.status == "ok"
+            assert all(0 < t <= (limit or DEFAULT_TIME_LIMIT) for t in limits)
+            searched = [a for _, _, a, b in complete[1:] if b > a]
+            stop_at = searched[len(searched) // 2] + 1
+            limits.clear()
+            complete.clear()
+            rep = run_method(name, sc, spec, budget, seed=3, semi=band,
+                             time_limit=limit)
+            assert rep.status == "time_limit" and len(limits) == stop_at
+            x, obj = complete[-1][:2]
+            assert np.array_equal(rep.x, x) and rep.objective == obj
+            assert rep.train_violations == evaluate_outcomes(
+                x, sc, spec).violation_count
+
+    def test_search_stopped_mid_generation_keeps_the_last_complete_one(
+            self, monkeypatch):
+        # a first solve of two generation rounds, stopped in its second
+        sc, spec, _ = make_instance(41, n_risky=4, n_scen=300)
+        band = SemiContinuousSpec(0.1, 0.5)
+        limits, results = [], []
+
+        def stopping(model, warm=None, time_limit=None):
+            limits.append(time_limit)
+            res = mip_solve(model, warm=warm, time_limit=time_limit)
+            results.append(res)
+            if len(limits) == 2:
+                return replace(res, status="time_limit")
+            return res
+
+        monkeypatch.setattr(heuristics, "mip_solve", stopping)
+        master = _Master(sc, spec, range(300), semi=band, time_limit=60.0)
+        x, obj = master.solve()
+        assert len(limits) == 2 and 0 < limits[1] < limits[0] <= 60.0
+        assert master.expired and master.out_of_time()
+        assert master._sol is results[0] and obj == results[0].objective_value
+        assert np.array_equal(x, results[0].x[: sc.n_assets])
+        assert master.outcomes.violation_count == evaluate_outcomes(
+            x, sc, spec).violation_count > 0
+        master.remove(int(np.flatnonzero(master.row_of >= 0)[0]))
+        assert master.solve()[1] == obj        # an expired master searches
+        assert len(limits) == 2 and master.solves == 1      # no more
+        assert master.report("rap", obj).status == "time_limit"
+
+
+    def test_polish_stopped_at_its_first_search_keeps_the_run(
+            self, monkeypatch):
+        # every search stops: the polish keeps the run it polished, with
+        # status time_limit and the one stopped solve counted
+        sc, spec, _ = make_instance(47, n_risky=4, n_scen=150, alpha=0.97)
+        band = SemiContinuousSpec(0.1, 0.5)
+        budget = ScenarioBudget(150, 6, 1e-6)
+        base = active_set(sc, spec, budget, semi=band)
+        assert base.status == "ok" and len(base.working_set) > 0
+
+        def stopped(model, warm=None, time_limit=None):
+            return replace(mip_solve(model, warm=warm, time_limit=time_limit),
+                           status="time_limit")
+
+        monkeypatch.setattr(heuristics, "mip_solve", stopped)
+        rep = polish_resolve(base, sc, spec, budget, semi=band,
+                             time_limit=50.0)
+        assert (rep.method, rep.status) == ("asm2", "time_limit")
+        assert np.array_equal(rep.x, base.x)
+        assert (rep.objective, rep.train_violations, rep.lp_solves) == (
+            base.objective, base.train_violations, base.lp_solves + 1)
+
+
 class TestGoldenDraw:
     """Outputs on one default-instance draw, recorded before the master's
     row map moved from a dict to an array (pnd, asm1, asm2 and the banded
     runs: before the heuristics became pick rules over shared loops); any
     change in the tie rules or the arithmetic shows here.  Removal methods
     list the discarded rows.  Banded rap's node count was re-recorded when
-    masters began to generate their rows: each generation round of an
-    integer master is a branch-and-bound of its own."""
+    masters began to generate their rows (each generation round of an
+    integer master is a branch-and-bound of its own), and again, 33 to 19,
+    when a master solve after a rowless removal stopped re-running it."""
 
     N, SEED = 2000, 11
     GOLDEN = {
@@ -652,7 +869,7 @@ class TestGoldenDraw:
     }
     # the instance's semi-continuous band, so the masters are integer
     BANDED = {
-        "rap": ("1.143548907536412", 15, 33, 0,
+        "rap": ("1.143548907536412", 15, 19, 0,
                 [21, 64, 236, 237, 391, 860, 957, 1042, 1226, 1300, 1388,
                  1573, 1654, 1900]),
         "asm1": ("1.143548907536412", 1, 19, 0, []),
