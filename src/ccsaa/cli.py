@@ -26,8 +26,8 @@ from .certificate import RiskSpec, binomial_upper_limit, max_removals
 from .data import (Instance, estimate_moments, instance_from_dict,
                    read_instance, read_price_csv, returns_from_prices,
                    write_instance)
-from .errors import (CcsaaError, ConfigError, NumericalFailure,
-                     UnsupportedForMip)
+from .errors import (CcsaaError, ConfigError, NoFeasibleBudget,
+                     NumericalFailure, UnsupportedForMip)
 from .gaussian import sample_scenarios, solve_gaussian_exact
 from .heuristics import METHODS, AsmConfig, run_method
 from .reports import STATUS_OK, STATUS_TIME_LIMIT
@@ -496,8 +496,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError,
-            UnsupportedForMip) as e:
+    except (ConfigError, FileNotFoundError, KeyError, NoFeasibleBudget,
+            ValueError, UnsupportedForMip) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericalFailure as e:

@@ -14,6 +14,13 @@ violated (``heuristics._Master``).
 Conventions: problems MAXIMIZE ``objective . x`` subject to column bounds and
 rows ``a . x (<=|>=|=) b``.  Row duals are shadow prices dObj/dRHS, so
 ``<=`` rows carry duals >= 0 and ``>=`` rows duals <= 0 at an optimum.
+
+Every simplex variable has one index: column j is ``j``, the slack ``rhs -
+a . x`` of row slot r is ``n + r``.  Ties go to the least index, among
+entering candidates of equal score and among leaving ones within ``_TIE`` of
+the least step.  The dual's leaving variable is the first most violated one,
+basic slacks listed before columns (a slack wins an exact tie), or under
+Bland's rule the least violated index.
 """
 
 import logging
@@ -333,7 +340,7 @@ class _Engine:
         listed = pos < ids.size
         listed[listed] = ids[pos[listed]] == alive[listed]
         tight = alive[listed][basis.row_status[pos[listed]] != BASIC]
-        self.ss[tight] = np.where(m._rel[tight] == GE, AT_UPPER, AT_LOWER)
+        self.ss[tight] = self._nb_slack_status(tight)
         self.S = tight.tolist()
         self.T = np.flatnonzero(cs == BASIC).tolist()
         self._repair_counts()
@@ -349,8 +356,8 @@ class _Engine:
         log.debug("singular kernel while %s: cold reset", during)
         self.cold_reset()
 
-    def _nb_slack_status(self, slot):
-        return AT_UPPER if self.m._rel[slot] == GE else AT_LOWER
+    def _nb_slack_status(self, slots):
+        return np.where(self.m._rel[slots] == GE, AT_UPPER, AT_LOWER)
 
     def _sync_slack_capacity(self):
         cap = self.m._A.shape[0]
@@ -395,7 +402,7 @@ class _Engine:
             self._begin("release")
             for sigma in ((1.0, -1.0) if abs(d) <= TOL_DUAL
                           else ((1.0,) if d > 0 else (-1.0,))):
-                if self._primal_step("slack", slot, sigma):
+                if self._primal_step(self.m.n_cols + slot, sigma):
                     return
         except (_KernelSingular, np.linalg.LinAlgError):
             pass
@@ -468,11 +475,16 @@ class _Engine:
             self._s = self.m._rhs[:ns] - self.m._A[:ns] @ self.x
         return self._s
 
-    def _basic_slacks(self):
-        """The alive rows with a basic slack, ascending, and their slacks."""
-        ns = self.m._n_slots
-        idx = np.flatnonzero(self.m._alive[:ns] & (self.ss[:ns] == BASIC))
-        return idx, self._slack_values()[idx]
+    def _basic(self):
+        """The basic variables -- slacks of alive rows by ascending slot, then
+        the columns in T's order -- with their index, value and limits."""
+        m, ns = self.m, self.m._n_slots
+        slots = np.flatnonzero(m._alive[:ns] & (self.ss[:ns] == BASIC))
+        T = np.asarray(self.T, dtype=np.intp)
+        return (np.concatenate([m.n_cols + slots, T]),
+                np.concatenate([self._slack_values()[slots], self.x[T]]),
+                np.concatenate([m._slo[slots], m.lb[T]]),
+                np.concatenate([m._shi[slots], m.ub[T]]))
 
     # -- pricing ---------------------------------------------------------
     def _nonbasic_candidates(self):
@@ -487,11 +499,6 @@ class _Engine:
         status = np.concatenate([self.cs[cols], self.ss[S[pos]]])
         return cols, pos, vindex, status
 
-    def _variable(self, vindex):
-        """(kind, ref) of a variable index: a column, or a row's slack."""
-        n = self.m.n_cols
-        return ("col", int(vindex)) if vindex < n else ("slack", int(vindex - n))
-
     def _reduced_costs(self, c, cols, pos):
         """Reduced costs of the candidate columns, then of the slacks."""
         y = self._duals_kernel(c)
@@ -500,109 +507,88 @@ class _Engine:
             d_cols = d_cols - self.m._A[np.ix_(self.S, cols)].T @ y
         return np.concatenate([d_cols, -y[pos]])
 
-    def dual_feasible(self, c, tol=TOL_DUAL):
+    def dual_feasible(self, c):
         cols, pos, _, status = self._nonbasic_candidates()
         try:
             d = self._reduced_costs(c, cols, pos)
         except _KernelSingular:
             return False
-        return not _improving(status, d, tol).any()
+        return not _improving(status, d, TOL_DUAL).any()
 
     # -- ratio test and basis exchange ------------------------------------
-    def _slack_ratio(self, dx):
-        """Ratio test over the basic slacks along ``dx``: (theta, slot) of the
-        least step to a limit, the smallest slot within _TIE of it, or
-        (inf, -1)."""
+    def _ratio(self, dx):
+        """Ratio test over the basic variables along ``dx``: (theta, index,
+        status) of the least step to a limit, the least variable index
+        within _TIE of it and the limit it reaches, or (inf, -1, None)."""
         m = self.m
-        idx, s = self._basic_slacks()
-        ds = -(m._A[: m._n_slots] @ dx)[idx]
-        # the limit each slack heads for, and the room left before it
-        down = ds < 0.0
-        lim = np.where(down, m._slo[idx], m._shi[idx])
-        room = np.maximum(np.where(down, s - lim, lim - s), 0.0)
-        rate = np.abs(ds)
-        thetas = np.divide(room, rate, out=np.full(idx.size, np.inf),
-                           where=(rate > TOL_PIVOT) & np.isfinite(lim))
+        vindex, value, lo, hi = self._basic()
+        rate = np.concatenate([dx, -(m._A[: m._n_slots] @ dx)])[vindex]
+        # the limit each variable heads for, and the room left before it
+        down = rate < 0.0
+        lim = np.where(down, lo, hi)
+        room = np.maximum(np.where(down, value - lim, lim - value), 0.0)
+        speed = np.abs(rate)
+        thetas = np.divide(room, speed, out=np.full(vindex.size, np.inf),
+                           where=(speed > TOL_PIVOT) & np.isfinite(lim))
         theta = thetas.min(initial=np.inf)
         if np.isinf(theta):
-            return np.inf, -1
-        return theta, int(idx[np.flatnonzero(thetas <= theta + _TIE)[0]])
+            return np.inf, -1, None
+        near = np.flatnonzero(thetas <= theta + _TIE)
+        at = near[np.argmin(vindex[near])]
+        return theta, int(vindex[at]), AT_LOWER if down[at] else AT_UPPER
 
-    def _direction(self, kind, ref, sigma):
-        """Move of x per unit move of the nonbasic variable (kind, ref) in
+    def _direction(self, j, sigma):
+        """Move of x per unit move of the nonbasic variable ``j`` in
         direction ``sigma``, the other tight rows held, and the length of its
         own box (inf for a slack: it leaves its finite limit outward)."""
-        m = self.m
-        dx = np.zeros(m.n_cols)
-        if kind == "col":
-            if self.S:
-                dx[self.T] = sigma * (-self._ksolve(m._A[self.S, ref]))
-            dx[ref] = sigma
-            return dx, m.ub[ref] - m.lb[ref]
-        e = np.zeros(len(self.T))
-        e[self.S.index(ref)] = 1.0
-        dx[self.T] = sigma * (-self._ksolve(e))
-        return dx, np.inf
+        m, n = self.m, self.m.n_cols
+        dx = np.zeros(n)
+        if j < n:
+            a, box = m._A[self.S, j], m.ub[j] - m.lb[j]
+            dx[j] = sigma
+        else:
+            a, box = np.zeros(len(self.S)), np.inf
+            a[self.S.index(j - n)] = 1.0
+        dx[self.T] = sigma * (-self._ksolve(a))
+        return dx, box
 
-    def _primal_step(self, kind, ref, sigma):
-        """Primal ratio test for a unit move of the entering variable;
+    def _primal_step(self, j, sigma):
+        """Primal ratio test for a unit move of the entering variable ``j``;
         applies the winning pivot or bound flip.  False when the ray is
         unbounded."""
-        m = self.m
-        dx, own_range = self._direction(kind, ref, sigma)
-
-        # blockers among basic structural columns (small set)
-        col_theta, col_pick, col_status = np.inf, -1, AT_LOWER
-        for p in self.T:
-            rate = dx[p]
-            if rate < -TOL_PIVOT and np.isfinite(m.lb[p]):
-                theta, stat = (self.x[p] - m.lb[p]) / (-rate), AT_LOWER
-            elif rate > TOL_PIVOT and np.isfinite(m.ub[p]):
-                theta, stat = (m.ub[p] - self.x[p]) / rate, AT_UPPER
-            else:
-                continue
-            theta = max(theta, 0.0)
-            if theta < col_theta - _TIE or (theta <= col_theta + _TIE and p < col_pick):
-                col_theta, col_pick, col_status = min(col_theta, theta), p, stat
-
-        # blockers among basic slacks (the entering slack is nonbasic)
-        slk_theta, slk_pick = self._slack_ratio(dx)
-
-        best_theta = min(col_theta, slk_theta)
-        if np.isinf(best_theta) and np.isinf(own_range):
+        dx, box = self._direction(j, sigma)
+        theta, leave, status = self._ratio(dx)
+        if np.isinf(theta) and np.isinf(box):
             return False
-        if own_range < best_theta - _TIE:
+        if box < theta - _TIE:
             # entering column crosses its own box: bound flip, basis kept
-            self.cs[ref] = AT_UPPER if sigma > 0 else AT_LOWER
+            self.cs[j] = AT_UPPER if sigma > 0 else AT_LOWER
             self._set_nonbasic_values()
             self._recompute_x()
-        elif col_theta <= slk_theta + _TIE:
-            # lowest variable index wins ties (columns index below slacks)
-            self._exchange(("col", col_pick), col_status, (kind, ref))
         else:
-            self._exchange(("slack", slk_pick), None, (kind, ref))
+            self._exchange(leave, status, j)
         return True
 
     def _exchange(self, leave, status, enter):
-        """Basis exchange: ``leave`` turns nonbasic (a column at ``status``,
-        a slack at its row's limit) and ``enter`` basic; then the nonbasic
-        values are reset, x re-derived and the pivot counted.  A basis that
-        comes back within a phase switches the phase to Bland's rule, under
-        which the simplex cannot cycle."""
+        """Basis exchange of two variable indices: ``leave`` turns nonbasic
+        (a column at ``status``, a slack at its row's limit) and ``enter``
+        basic; then the nonbasic values are reset, x re-derived and the pivot
+        counted.  A basis that comes back within a phase switches the phase
+        to Bland's rule, under which the simplex cannot cycle."""
         self._seen.add(self._basis_key())
-        (lkind, lref), (kind, ref) = leave, enter
-        if lkind == "col":
-            self.T.remove(lref)
-            self.cs[lref] = status
+        n = self.m.n_cols
+        if leave < n:
+            self.T.remove(leave)
+            self.cs[leave] = status
         else:
-            self.ss[lref] = self._nb_slack_status(lref)
-            self.S.append(lref)
-        if kind == "col":
-            self.cs[ref] = BASIC
-            self.T.append(ref)
+            self.ss[leave - n] = self._nb_slack_status(leave - n)
+            self.S.append(leave - n)
+        if enter < n:
+            self.cs[enter] = BASIC
+            self.T.append(enter)
         else:
-            self.ss[ref] = BASIC
-            self.S.remove(ref)
+            self.ss[enter - n] = BASIC
+            self.S.remove(enter - n)
         self._set_nonbasic_values()
         self._recompute_x()
         self.m.stats.pivots += 1
@@ -630,51 +616,38 @@ class _Engine:
             pick = _lexmin(-np.abs(d), vindex, sig != 0, self._bland)
             if pick is None:
                 return OPTIMAL
-            kind, ref = self._variable(vindex[pick])
-            if not self._primal_step(kind, ref, float(sig[pick])):
+            if not self._primal_step(int(vindex[pick]), float(sig[pick])):
                 return UNBOUNDED
         raise NumericalFailure("primal simplex exceeded the pivot cap")
 
     # -- dual simplex -------------------------------------------------------
     def dual(self, c):
-        m = self.m
+        m, n = self.m, self.m.n_cols
         self._begin("dual")
         for _ in range(_MAX_PIVOTS):
-            lref, need, best_v = self._leaving_slack(self._bland)
-            lkind = None if lref is None else "slack"
-            # basic columns, in T's order: the first most violated one when
-            # it beats the slack, or the smallest violated index under Bland
-            T = np.asarray(self.T, dtype=np.intp)
-            xt, lo, hi = self.x[T], m.lb[T], m.ub[T]
-            low = xt < lo - TOL_FEAS
-            v = np.where(low, lo - xt, np.where(xt > hi + TOL_FEAS, xt - hi, 0.0))
-            if v.max(initial=0.0) > 0.0:
-                at = int(np.argmin(np.where(v > 0.0, T, T.max() + 1)) if self._bland
-                         else np.argmax(v))
-                if self._bland or v[at] > best_v:
-                    lkind, lref, best_v = "col", int(T[at]), float(v[at])
-                    need = +1 if low[at] else -1
-            if lkind is None:
+            basic, below, above = self._violations()
+            viol = np.maximum(below, above)
+            viol[viol < TOL_FEAS] = 0.0
+            if not viol.any():
                 return "feasible"
+            # the first most violated variable (slacks are listed first), or
+            # the least violated index under Bland's rule
+            at = (_lexmin(viol, basic, viol > 0.0, True) if self._bland
+                  else int(np.argmax(viol)))
+            leave, need = int(basic[at]), +1 if below[at] >= above[at] else -1
 
-            # pivot row of the leaving variable over nonbasic candidates
-            t = len(self.T)
-            if lkind == "slack":
-                w = self._ksolve(m._A[lref, self.T], transpose=True)
-                base = m._A[lref]
+            # pivot row of the leaving variable, which is sign * g.x plus a
+            # constant: a slack is rhs - A[r].x, a column is e_j.x
+            if leave < n:
+                g, sign = np.zeros(n), 1.0
+                g[leave] = 1.0
             else:
-                e = np.zeros(t)
-                e[self.T.index(lref)] = 1.0
-                w = self._ksolve(e, transpose=True)
-                base = None
-
+                g, sign = m._A[leave - n], -1.0
+            w = self._ksolve(g[self.T], transpose=True)
             cols, pos, vindex, status = self._nonbasic_candidates()
             d = self._reduced_costs(c, cols, pos)
-            proj = m._A[np.ix_(self.S, cols)].T @ w if t else np.zeros(cols.size)
-            if base is not None:
-                alpha = np.concatenate([base[cols] - proj, -w[pos]])
-            else:
-                alpha = np.concatenate([proj, w[pos]])
+            proj = m._A[np.ix_(self.S, cols)].T @ w
+            alpha = sign * np.concatenate([proj - g[cols], w[pos]])
             # the leaving variable moves toward its violated bound at rate
             # -alpha * need per unit increase of the entering one
             ok = _improving(status, -alpha * need, TOL_PIVOT) != 0
@@ -686,36 +659,20 @@ class _Engine:
             if pick is None:
                 return INFEASIBLE
             # the leaving variable snaps to its violated bound
-            self._exchange((lkind, lref), AT_LOWER if need > 0 else AT_UPPER,
-                           self._variable(vindex[pick]))
+            self._exchange(leave, AT_LOWER if need > 0 else AT_UPPER,
+                           int(vindex[pick]))
         raise NumericalFailure("dual simplex exceeded the pivot cap")
 
-    def _leaving_slack(self, bland):
-        """The basic slack to leave: the first most violated row, or the
-        first violated one under Bland's rule.  Returns (slot, need,
-        violation), slot None when no row is violated."""
-        m = self.m
-        idx, s = self._basic_slacks()
-        below, above = m._slo[idx] - s, s - m._shi[idx]
-        viol = np.maximum(below, above)
-        viol[viol < TOL_FEAS] = 0.0
-        if not viol.any():
-            return None, None, 0.0
-        at = int(np.flatnonzero(viol > 0.0)[0] if bland else np.argmax(viol))
-        return int(idx[at]), +1 if below[at] >= above[at] else -1, float(viol[at])
+    def _violations(self):
+        """Each basic variable's index, and how far it lies below its lower
+        limit and above its upper one (negative inside its limits)."""
+        vindex, value, lo, hi = self._basic()
+        return vindex, lo - value, value - hi
 
     # -- driver -----------------------------------------------------------
     def _primal_infeasibility(self):
-        m = self.m
-        v = 0.0
-        if self.T:
-            xt = self.x[self.T]
-            v = max(v, float(np.max(np.maximum(m.lb[self.T] - xt, 0.0), initial=0.0)))
-            v = max(v, float(np.max(np.maximum(xt - m.ub[self.T], 0.0), initial=0.0)))
-        idx, s = self._basic_slacks()
-        v = max(v, float(np.max(np.maximum(m._slo[idx] - s, 0.0), initial=0.0)))
-        v = max(v, float(np.max(np.maximum(s - m._shi[idx], 0.0), initial=0.0)))
-        return v
+        _, below, above = self._violations()
+        return float(np.max(np.maximum(below, above), initial=0.0))
 
     def _clamped_costs(self):
         c = self.m.obj

@@ -172,14 +172,10 @@ def _incumbent_valid(model: MipModel, x) -> bool:
         return False
     if np.any(_fractionality(x, model.binaries) > _INTEGRALITY_TOL):
         return False
+    # each alive row's slack rhs - a.x within its relation's limits
     ids = base.row_ids()
-    vals = (base._A[: base._n_slots] @ x)[ids]
-    rel = base._rel[ids]
-    rhs = base._rhs[ids]
-    bad = ((rel == lp.LE) & (vals > rhs + 1e-7)) | \
-          ((rel == lp.GE) & (vals < rhs - 1e-7)) | \
-          ((rel == lp.EQ) & (np.abs(vals - rhs) > 1e-7))
-    return not bool(bad.any())
+    s = base._rhs[ids] - (base._A[: base._n_slots] @ x)[ids]
+    return not np.any((s < base._slo[ids] - 1e-7) | (s > base._shi[ids] + 1e-7))
 
 
 def mip_solve(model: MipModel, warm=None,
@@ -292,11 +288,11 @@ def mip_solve(model: MipModel, warm=None,
     restore()
     lp_solves = base.stats.solves - solves_before
     if incumbent_x is None:
-        status = "time_limit" if hit_limit else lp.INFEASIBLE
+        status = STATUS_TIME_LIMIT if hit_limit else lp.INFEASIBLE
         return MipResult(status, root.x, float("nan"), nodes, lp_solves,
                          root_bound, float("nan"), hit_limit)
     gap = max(0.0, best_bound - incumbent_obj) / max(1.0, abs(incumbent_obj))
-    status = "time_limit" if hit_limit else lp.OPTIMAL
+    status = STATUS_TIME_LIMIT if hit_limit else lp.OPTIMAL
     if not searched:
         # The incumbent came from the warm hint.  Solving at its fixings
         # leaves the engine at its vertex, and the next master of a
@@ -325,7 +321,7 @@ def exact_mip(scenarios: ScenarioSet, spec, budget, semi=None,
     if semi is not None:
         banded(model, semi, scenarios.n_assets, spec.cash_index)
     res = mip_solve(model, time_limit=time_limit)
-    if res.status not in (lp.OPTIMAL, "time_limit"):
+    if res.status not in (lp.OPTIMAL, STATUS_TIME_LIMIT):
         raise InfeasibleModel(f"exact big-M model is {res.status}")
     x = res.x[: scenarios.n_assets]
     objective = res.objective_value

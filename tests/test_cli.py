@@ -572,6 +572,23 @@ class TestCommandLine:
                    "--method", "asm1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--n-scenarios", "10", "--epsilon", "0.05", "--beta",
+         "5e-6", "--n-dims", "20"],
+        ["solve", "--method", "asm1", "--n-scenarios", "10"],
+        ["experiment", "--methods", "asm1", "--n-grid", "10", "--trials", "1",
+         "--test-size", "100"]])
+    def test_no_feasible_budget_exit_code(self, tmp_path, capsys, argv):
+        # N too small for even k=0 at the instance's beta is a configuration error
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, small_instance(seed=9))
+        if argv[0] != "budget":
+            argv = argv + ["--instance", str(inst_path)]
+        if argv[0] == "experiment":
+            argv = argv + ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "k=0 already exceeds beta" in capsys.readouterr().err
+
     def test_semicontinuous_dual_method_rejected(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         write_instance(inst_path, small_instance(seed=12))

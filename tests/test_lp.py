@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -636,8 +638,9 @@ def scenario_lp(rng, n_scen, n_assets=4):
 
 
 # ----------------------------------------------------------------------
-# the ratio test, dual leaving row and feasibility check on scenario-program
-# shapes, against a reference pass that recomputes every slot's slack
+# the ratio test, the dual's violations and leaving variable, and the
+# feasibility check on scenario-program shapes, against a reference pass that
+# recomputes every slot's slack and walks the basic variables one at a time
 # ----------------------------------------------------------------------
 
 def full_slacks(eng):
@@ -651,37 +654,56 @@ def basic_mask(eng):
     return eng.m._alive[:ns] & (eng.ss[:ns] == lp.BASIC)
 
 
+def basic_variables(eng):
+    """(index, value, lower, upper) of each basic variable: the slacks of
+    alive slots, ascending, then the columns in T's order."""
+    m, n, s = eng.m, eng.m.n_cols, full_slacks(eng)
+    return ([(n + int(r), s[r], m._slo[r], m._shi[r])
+             for r in np.flatnonzero(basic_mask(eng))]
+            + [(j, eng.x[j], m.lb[j], m.ub[j]) for j in eng.T])
+
+
 def full_ratio(eng, dx):
-    """The least step of a basic slack to its limit along dx, and the
-    smallest slot within _TIE of it."""
+    """The least step of a basic variable to a limit along dx, the least
+    index within _TIE of it, and the bound that variable reaches."""
     m = eng.m
-    ns = m._n_slots
-    ds, s = -(m._A[:ns] @ dx), full_slacks(eng)
-    slo, shi, mask = m._slo[:ns], m._shi[:ns], basic_mask(eng)
-    thetas = np.full(ns, np.inf)
-    down = mask & (ds < -lp.TOL_PIVOT) & np.isfinite(slo)
-    up = mask & (ds > lp.TOL_PIVOT) & np.isfinite(shi)
-    thetas[down] = np.maximum(s[down] - slo[down], 0.0) / (-ds[down])
-    thetas[up] = np.maximum(shi[up] - s[up], 0.0) / ds[up]
-    if not (down.any() or up.any()):
-        return np.inf, -1
-    theta = thetas.min()
-    return theta, int(np.flatnonzero(thetas <= theta + lp._TIE)[0])
+    rates = np.concatenate([dx, -(m._A[:m._n_slots] @ dx)])
+    blocks = []
+    for v, value, lo, hi in basic_variables(eng):
+        rate = rates[v]
+        if rate < -lp.TOL_PIVOT and np.isfinite(lo):
+            blocks.append((max(value - lo, 0.0) / -rate, v, lp.AT_LOWER))
+        elif rate > lp.TOL_PIVOT and np.isfinite(hi):
+            blocks.append((max(hi - value, 0.0) / rate, v, lp.AT_UPPER))
+    if not blocks:
+        return np.inf, -1, None
+    theta = min(b[0] for b in blocks)
+    _, v, status = min((b for b in blocks if b[0] <= theta + lp._TIE),
+                       key=lambda b: b[1])
+    return theta, v, status
 
 
-def full_leaving(eng, bland):
-    """The dual leaving row over every slot."""
-    m = eng.m
-    ns = m._n_slots
-    s, mask = full_slacks(eng), basic_mask(eng)
-    below = np.where(mask, m._slo[:ns] - s, -np.inf)
-    above = np.where(mask, s - m._shi[:ns], -np.inf)
-    viol = np.maximum(below, above)
-    viol[viol < lp.TOL_FEAS] = 0.0
-    if viol.max(initial=0.0) <= 0.0:
-        return None, None, 0.0
-    slot = int(np.flatnonzero(viol > 0.0)[0] if bland else np.argmax(viol))
-    return slot, +1 if below[slot] >= above[slot] else -1, float(viol[slot])
+def full_violations(eng):
+    """Each basic variable's index, and how far it lies below its lower
+    limit and above its upper one."""
+    basic = basic_variables(eng)
+    return (np.array([v for v, _, _, _ in basic], dtype=np.intp),
+            np.array([lo - value for _, value, lo, _ in basic]),
+            np.array([value - hi for _, value, _, hi in basic]))
+
+
+def full_leaving(eng):
+    """The dual's leaving variable and the bound it snaps to: the first most
+    violated basic variable, or the least violated index under Bland's rule."""
+    viol = [(max(lo - value, value - hi), v, lo - value >= value - hi)
+            for v, value, lo, hi in basic_variables(eng)]
+    viol = [t for t in viol if t[0] >= lp.TOL_FEAS]
+    if not viol:
+        return None
+    # max() returns the first of equal maxima
+    _, v, below = (min(viol, key=lambda t: t[1]) if eng._bland
+                   else max(viol, key=lambda t: t[0]))
+    return v, lp.AT_LOWER if below else lp.AT_UPPER
 
 
 def full_infeasibility(eng):
@@ -699,30 +721,33 @@ def full_infeasibility(eng):
 
 
 class PassCheck:
-    """Compares each ratio test, dual leaving row and feasibility check of
-    the engine with the reference pass over the same state, and counts the
-    comparisons.  The reference reads no cached slack, so a stale cache
-    shows as a mismatch."""
+    """Compares each ratio test, violation pass and feasibility check of the
+    engine, and each leaving variable of the dual, with the reference pass
+    over the same state, and counts the comparisons and, per phase, the
+    columns and slacks that leave the basis.  The reference reads no cached
+    slack, so a stale cache shows as a mismatch."""
 
     def __init__(self, monkeypatch):
         self.compared = 0
+        self.leaves = Counter()
         E = lp._Engine
-        ratio, leaving, infeas = (E._slack_ratio, E._leaving_slack,
-                                  E._primal_infeasibility)
+        ratio, violations, infeas, exchange = (
+            E._ratio, E._violations, E._primal_infeasibility, E._exchange)
 
         def checked_ratio(eng, dx):
             want = full_ratio(eng, dx)
             got = ratio(eng, dx)
-            assert got[1] == want[1]
+            assert got[1:] == want[1:]
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
             self.compared += 1
             return got
 
-        def checked_leaving(eng, bland):
-            want = full_leaving(eng, bland)
-            got = leaving(eng, bland)
-            assert got[:2] == want[:2]
-            assert got[2] == pytest.approx(want[2], rel=1e-12, abs=1e-15)
+        def checked_violations(eng):
+            want = full_violations(eng)
+            got = violations(eng)
+            assert got[0].tolist() == want[0].tolist()
+            for g, w in zip(got[1:], want[1:]):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
             self.compared += 1
             return got
 
@@ -733,9 +758,21 @@ class PassCheck:
             self.compared += 1
             return got
 
-        monkeypatch.setattr(E, "_slack_ratio", checked_ratio)
-        monkeypatch.setattr(E, "_leaving_slack", checked_leaving)
+        def checked_exchange(eng, leave, status, enter):
+            if eng._phase == "dual":
+                assert (leave, status) == full_leaving(eng)
+            kind = "column" if leave < eng.m.n_cols else "slack"
+            self.leaves[eng._phase, kind] += 1
+            return exchange(eng, leave, status, enter)
+
+        monkeypatch.setattr(E, "_ratio", checked_ratio)
+        monkeypatch.setattr(E, "_violations", checked_violations)
         monkeypatch.setattr(E, "_primal_infeasibility", checked_infeasibility)
+        monkeypatch.setattr(E, "_exchange", checked_exchange)
+
+    def both_kinds_leave(self, phases=("primal", "dual", "release")):
+        return all(self.leaves[phase, kind] > 0 for phase in phases
+                   for kind in ("column", "slack"))
 
 
 @pytest.fixture
@@ -779,6 +816,7 @@ class TestScreen:
             m, _ = scenario_lp(rng, 300)
             release_binding(m, rng, 15)
         assert passes.compared > 100
+        assert passes.both_kinds_leave()
 
     def test_rows_without_a_budget_row(self, passes):
         # capacity rows r.x <= 1 in a box: sum(dx) moves freely
@@ -803,6 +841,7 @@ class TestScreen:
             m.obj = m.obj + rng.normal(0.0, 0.02, m.n_cols)
             release_binding(m, rng, 40)
         assert passes.compared > 50
+        assert passes.both_kinds_leave()
 
     def test_rows_of_zero_radius(self, passes):
         # constant rows, tight or not, are evaluated at every step
@@ -815,6 +854,21 @@ class TestScreen:
             release_binding(m, rng, 15)
         assert passes.compared > 50
 
+    def test_bland_rule_from_the_first_pivot(self, passes, monkeypatch):
+        # the least-index leaving rules, which the shapes above never reach
+        begin = lp._Engine._begin
+
+        def bland_begin(eng, phase):
+            begin(eng, phase)
+            eng._bland = True
+
+        monkeypatch.setattr(lp._Engine, "_begin", bland_begin)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m, _ = scenario_lp(rng, 300)
+            release_binding(m, rng, 15)
+        assert passes.both_kinds_leave()
+
     def test_big_m_model(self, passes):
         rng = np.random.default_rng(50)
         returns = 1.0 + rng.normal(0.05, 0.2, size=(40, 3))
@@ -823,6 +877,7 @@ class TestScreen:
                                        np.array([1.06, 1.09, 1.0])))
         assert res.status == lp.OPTIMAL
         assert passes.compared > 100
+        assert passes.both_kinds_leave(phases=("dual",))
 
 
 class TestSolutionSlacks:
