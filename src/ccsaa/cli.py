@@ -64,6 +64,12 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        _check_time_limit(self.time_limit)
+
+
+def _check_time_limit(seconds):
+    if not seconds >= 0:        # a NaN limit would never expire
+        raise ConfigError(f"time limit must be >= 0 seconds, got {seconds}")
 
 
 @dataclass
@@ -399,6 +405,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_solve(args):
+    _check_time_limit(args.time_limit)
     inst = read_instance(args.instance)
     if args.scenarios:
         scenarios = read_scenario_csv(args.scenarios)

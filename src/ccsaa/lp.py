@@ -3,13 +3,16 @@
 Purpose-built for scenario programs: many inequality rows over a small block
 of structural columns.  Any basis of such a program contains at most n
 structural columns, so the active factorization -- the "kernel" of tight rows
-against basic columns -- never exceeds n x n.  Pricing, search directions and
-dual pivots all reduce to dense solves against that kernel.  The row block
-enters only through the ratio test, the dual leaving row and the feasibility
-check, one product over the row slots each, so single-row edits (the dominant
-workload of discard heuristics) stay nearly free.  Callers keep models small:
-the heuristics' masters hold only the scenario rows that bind or were
-violated (``heuristics._Master``).
+against basic columns -- never exceeds n x n, and search directions and duals
+are dense solves against it.  The tight rows ``A[S]`` are taken once per
+change of S: pricing, the dual's pivot row, the kernel and the re-derivation
+of x all read that take.  The row slacks ``rhs - A x`` are cached and read
+only the columns where x is nonzero when those are few (``support_product``);
+the cache lives until x moves, an added row appends its own slacks, and a
+released row with a basic slack changes no other, so single-row edits (the
+dominant workload of discard heuristics) stay nearly free.  Callers keep
+models small: the heuristics' masters hold only the scenario rows that bind
+or were violated (``heuristics._Master``).
 
 Conventions: problems MAXIMIZE ``objective . x`` subject to column bounds and
 rows ``a . x (<=|>=|=) b``.  Row duals are shadow prices dObj/dRHS, so
@@ -50,12 +53,23 @@ TOL_DUAL = 1e-9
 TOL_PIVOT = 1e-10
 _TIE = 1e-12
 _MAX_PIVOTS = 200_000
+# Doubles per 64-byte cache line: a gather of one column of a row-major
+# matrix reads as many lines as a product over _LINE columns.
+_LINE = 8
 
 log = logging.getLogger("ccsaa")
 
 
 class _KernelSingular(Exception):
     pass
+
+
+def support_product(A, x):
+    """``A @ x`` for a row-major A, over x's support if it is 1/_LINE or less."""
+    support = np.flatnonzero(x)
+    if 0 < _LINE * support.size <= x.size:
+        return A[:, support] @ x[support]
+    return A @ x
 
 
 def _improving(status, d, tol):
@@ -224,11 +238,13 @@ class LpModel:
         self._slo[first:need], self._shi[first:need] = _SLACK_LIMS[code]
         self._alive[first:need] = True
         self._n_slots = need
-        if self._engine is not None:
-            # new rows enter with basic slacks
-            self._engine._sync_slack_capacity()
-            self._engine.ss[first:need] = BASIC
-            self._engine._s = None
+        eng = self._engine
+        if eng is not None:
+            # new rows enter with basic slacks, appended to a kept cache
+            eng._sync_slack_capacity()
+            eng.ss[first:need] = BASIC
+            if eng._s is not None:
+                eng._s = np.concatenate([eng._s, b - support_product(A, eng.x)])
         return np.arange(first, need)
 
     def remove_row(self, row_id) -> None:
@@ -300,7 +316,10 @@ class LpModel:
 # ----------------------------------------------------------------------
 
 class _Engine:
-    """Simplex state for one LpModel: statuses, kernel index sets, iterate."""
+    """Simplex state for one LpModel: statuses, kernel index sets, iterate.
+    While ``valid``, x is the basic solution of the statuses, (S, T) and the
+    bounds (every edit of them re-derives it), so a solve starts from x as it
+    is; ``_s`` is None or the slacks ``rhs - A x`` of every slot."""
 
     def __init__(self, model: LpModel):
         self.m = model
@@ -311,18 +330,17 @@ class _Engine:
         self.T: list = []           # basic structural columns
         self.x = np.zeros(n)
         self._s = None              # cached slack values over all slots
-        self._K = self._K_sets = None   # cached kernel A[S, T], and its (S, T)
+        self._AS = self._AS_key = None  # cached tight rows A[S], and its S
         self.valid = False
 
     # -- construction / loading ---------------------------------------
     def cold_reset(self):
-        self.cs = self._rest_status(slice(None), False)
+        self.cs = self._rest_status(slice(None), AT_LOWER)
         self._sync_slack_capacity()
         self.ss[:] = BASIC
         self.S = []
         self.T = []
         self._set_nonbasic_values()
-        self._s = None
         self.valid = True
 
     def load_basis(self, basis: Basis):
@@ -332,7 +350,8 @@ class _Engine:
         cs = np.full(n, AT_LOWER, dtype=np.int8)
         k = min(n, basis.col_status.size)
         cs[:k] = basis.col_status[:k]
-        self.cs = cs
+        # the snapshot's bounds may differ: nonbasic columns rest at finite ones
+        self.cs = cs = self._rest_status(slice(None), cs)
         self.ss[:] = BASIC
         # alive rows the snapshot lists as tight; rows it misses stay basic
         alive, ids = m.row_ids(), basis.row_ids
@@ -371,17 +390,19 @@ class _Engine:
         k = min(len(self.S), len(self.T))
         j = np.asarray(self.T[k:], dtype=np.intp)
         xj, m = self.x[j], self.m
-        self.cs[j] = self._rest_status(j, np.abs(xj - m.lb[j]) > np.abs(xj - m.ub[j]))
+        self.cs[j] = self._rest_status(j, np.where(
+            np.abs(xj - m.lb[j]) > np.abs(xj - m.ub[j]), AT_UPPER, AT_LOWER))
         self.ss[self.S[k:]] = BASIC
         del self.S[k:], self.T[k:]
 
-    def _rest_status(self, cols, upper):
-        """Status of nonbasic columns at rest: at the upper bound where
-        ``upper`` holds and that bound is finite, else at a finite lower
-        bound, else at a finite upper one, else free at zero."""
+    def _rest_status(self, cols, st):
+        """Statuses ``st`` of ``cols`` with the nonbasic ones at rest: at the
+        upper bound where ``st`` is AT_UPPER and that bound is finite, else
+        at a finite lower bound, else at a finite upper one, else free at 0."""
         lo, hi = np.isfinite(self.m.lb[cols]), np.isfinite(self.m.ub[cols])
-        return np.where(hi & (upper | ~lo), AT_UPPER,
-                        np.where(lo, AT_LOWER, NB_FREE)).astype(np.int8)
+        return np.where(st == BASIC, BASIC, np.where(
+            hi & ((st == AT_UPPER) | ~lo), AT_UPPER,
+            np.where(lo, AT_LOWER, NB_FREE))).astype(np.int8)
 
     # -- incremental edits ---------------------------------------------
     def detach_row(self, slot):
@@ -392,11 +413,8 @@ class _Engine:
         improving direction -- the textbook constraint-relaxation step -- so
         the iterate stays primal feasible and re-optimization stays warm.
         """
-        if not self.valid:
-            return
-        if self.ss[slot] == BASIC:
-            self._s = None
-            return
+        if not self.valid or self.ss[slot] == BASIC:
+            return      # no other slack changes
         try:
             d = -self._duals_kernel(self.m.obj)[self.S.index(slot)]
             self._begin("release")
@@ -419,9 +437,7 @@ class _Engine:
         """
         if not self.valid:
             return
-        st = self.cs[col]
-        new = np.where(st == BASIC, BASIC, self._rest_status(col, st == AT_UPPER))
-        self.cs[col] = new
+        self.cs[col] = new = self._rest_status(col, self.cs[col])
         if np.any(new != BASIC):
             self._set_nonbasic_values()
             try:
@@ -430,17 +446,17 @@ class _Engine:
                 self.valid = False
 
     # -- kernel algebra -------------------------------------------------
-    def _kernel(self):
-        # rows are never edited once added, so A[S, T] changes only with S, T
-        sets = (tuple(self.S), tuple(self.T))
-        if sets != self._K_sets:
-            self._K, self._K_sets = self.m._A[np.ix_(self.S, self.T)], sets
-        return self._K
+    def _tight_rows(self):
+        # rows are never edited once added, so A[S] changes only with S
+        key = tuple(self.S)
+        if key != self._AS_key:
+            self._AS, self._AS_key = self.m._A[self.S], key
+        return self._AS
 
     def _ksolve(self, rhs, transpose=False):
         if not self.T:
             return np.zeros(0)
-        K = self._kernel()
+        K = self._tight_rows()[:, self.T]
         try:
             return np.linalg.solve(K.T if transpose else K, rhs)
         except np.linalg.LinAlgError:
@@ -465,14 +481,14 @@ class _Engine:
         m = self.m
         xn = self.x.copy()
         xn[self.T] = 0.0
-        r = m._rhs[self.S] - m._A[self.S] @ xn
+        r = m._rhs[self.S] - self._tight_rows() @ xn
         # Nonbasic slacks sit at zero, so tight rows read A x = rhs exactly.
         self.x[self.T] = self._ksolve(r)
 
     def _slack_values(self):
         if self._s is None:
             ns = self.m._n_slots
-            self._s = self.m._rhs[:ns] - self.m._A[:ns] @ self.x
+            self._s = self.m._rhs[:ns] - support_product(self.m._A[:ns], self.x)
         return self._s
 
     def _basic(self):
@@ -504,7 +520,7 @@ class _Engine:
         y = self._duals_kernel(c)
         d_cols = c[cols]
         if self.S:
-            d_cols = d_cols - self.m._A[np.ix_(self.S, cols)].T @ y
+            d_cols = d_cols - (self._tight_rows().T @ y)[cols]
         return np.concatenate([d_cols, -y[pos]])
 
     def dual_feasible(self, c):
@@ -646,7 +662,7 @@ class _Engine:
             w = self._ksolve(g[self.T], transpose=True)
             cols, pos, vindex, status = self._nonbasic_candidates()
             d = self._reduced_costs(c, cols, pos)
-            proj = m._A[np.ix_(self.S, cols)].T @ w
+            proj = (self._tight_rows().T @ w)[cols]
             alpha = sign * np.concatenate([proj - g[cols], w[pos]])
             # the leaving variable moves toward its violated bound at rate
             # -alpha * need per unit increase of the entering one
@@ -687,10 +703,11 @@ class _Engine:
         c = self.m.obj
         if not self.valid:
             self.cold_reset()
-        for _ in range(3):
+        for attempt in range(3):
             try:
-                self._set_nonbasic_values()
-                self._recompute_x()
+                if attempt:     # a repair starts from a freshly derived x
+                    self._set_nonbasic_values()
+                    self._recompute_x()
                 if self._primal_infeasibility() > 10 * TOL_FEAS:
                     if self.dual_feasible(c):
                         r = self.dual(c)

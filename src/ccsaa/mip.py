@@ -174,7 +174,7 @@ def _incumbent_valid(model: MipModel, x) -> bool:
         return False
     # each alive row's slack rhs - a.x within its relation's limits
     ids = base.row_ids()
-    s = base._rhs[ids] - (base._A[: base._n_slots] @ x)[ids]
+    s = base._rhs[ids] - lp.support_product(base._A[: base._n_slots], x)[ids]
     return not np.any((s < base._slo[ids] - 1e-7) | (s > base._shi[ids] + 1e-7))
 
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used only to cross-check results.
 
 Everything here deliberately avoids the library's own algorithms: LPs are
-checked by enumerating candidate vertices, binomial limits by bisection on
-the exact CDF, normal quantiles by bisection on an mpmath-evaluated CDF, and
+checked by enumerating candidate vertices, binomial limits by the beta
+quantile (itself cross-checked by bisection on the exact CDF), normal quantiles by bisection on an mpmath-evaluated CDF, and
 certificate bounds by exact rational arithmetic.
 """
 
@@ -12,6 +12,7 @@ from math import comb
 
 import mpmath
 import numpy as np
+from scipy.stats import beta
 
 
 def vertex_enumeration_lp(c, rows, rels, rhs, lb, ub, tol=1e-9):
@@ -63,7 +64,15 @@ def vertex_enumeration_lp(c, rows, rels, rhs, lb, ub, tol=1e-9):
     return best_v, best_x
 
 
-def clopper_pearson_upper(violations, trials, confidence, tol=1e-12):
+def clopper_pearson_upper(violations, trials, confidence):
+    """Exact one-sided upper limit in closed form: the beta quantile at
+    ``confidence`` with parameters (violations + 1, trials - violations)."""
+    if violations >= trials:
+        return 1.0
+    return float(beta.ppf(confidence, violations + 1, trials - violations))
+
+
+def clopper_pearson_upper_bisect(violations, trials, confidence, tol=1e-12):
     """Exact one-sided upper limit by bisection on the binomial lower tail."""
     if violations >= trials:
         return 1.0

@@ -7,7 +7,8 @@ from ccsaa.certificate import (RiskSpec, ScenarioBudget, binomial_upper_limit,
                                cg_log_beta, max_removals)
 from ccsaa.errors import NoFeasibleBudget
 
-from oracles import certificate_log10_exact, clopper_pearson_upper
+from oracles import (certificate_log10_exact, clopper_pearson_upper,
+                     clopper_pearson_upper_bisect)
 
 SPEC20 = RiskSpec(epsilon=0.05, beta=5e-6, n_dims=20)
 
@@ -113,6 +114,12 @@ class TestBinomialUpperLimit:
         got = binomial_upper_limit(5000, 100000, 1 - 5e-6)
         want = clopper_pearson_upper(5000, 100000, 1 - 5e-6)
         assert got == pytest.approx(want, abs=0.002)
+
+    def test_clopper_pearson_closed_form_matches_bisection(self):
+        # the beta quantile the oracle uses, against bisection on the exact
+        # binomial lower tail
+        assert clopper_pearson_upper(7, 200, 0.99) == pytest.approx(
+            clopper_pearson_upper_bisect(7, 200, 0.99), rel=0, abs=1e-11)
 
     def test_monotone_in_violations(self):
         vals = [binomial_upper_limit(v, 1000, 0.99) for v in range(0, 1000, 37)]

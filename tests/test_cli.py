@@ -589,6 +589,30 @@ class TestCommandLine:
         assert main(argv) == 2
         assert "k=0 already exceeds beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "asm2", "--n-scenarios", "200"],
+        ["experiment", "--methods", "asm1", "--n-grid", "120", "--trials", "1",
+         "--test-size", "100"],
+        ["sweep-w", "--w-list", "0.5", "--n-grid", "100", "--trials", "1",
+         "--test-size", "100"]])
+    def test_time_limit_must_be_a_number_at_least_zero(self, tmp_path, capsys,
+                                                       monkeypatch, argv, limit):
+        # a NaN limit never expires and a negative one expires at once; both
+        # are refused before any work, while 0 keeps its meaning
+        def never(*args, **kwargs):
+            raise AssertionError("solved under an invalid time limit")
+
+        monkeypatch.setattr(cli, "run_method", never)
+        inst_path = tmp_path / "inst.json"
+        write_instance(inst_path, small_instance(seed=9))
+        argv = argv + ["--instance", str(inst_path), "--time-limit", limit]
+        if argv[0] != "solve":
+            argv = argv + ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "time limit must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_semicontinuous_dual_method_rejected(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         write_instance(inst_path, small_instance(seed=12))

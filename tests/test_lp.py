@@ -264,6 +264,21 @@ class TestWarmStarts:
         assert sol.status == cold.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
 
+    def test_basis_from_other_bounds(self):
+        # a column the snapshot holds at an upper bound that is now infinite
+        # rests at its lower bound (it used to enter x as inf)
+        m = LpModel([1.0, 2.0], upper=[1.0, 0.5])
+        m.add_row([1.0, 1.0], "<=", 3.0)
+        m.add_row([1.0, 0.0], "<=", 2.0)      # 0 * inf is nan
+        snap = lp_solve(m).basis
+        assert snap.col_status.tolist() == [lp.AT_UPPER, lp.AT_UPPER]
+        m.set_bounds(1, 0.0, np.inf)
+        sol = lp_solve(m, warm=snap)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(
+            lp_solve(m, from_scratch=True).objective_value, abs=1e-12)
+        assert sol.x.tolist() == pytest.approx([0.0, 3.0], abs=1e-12)
+
     def test_determinism(self):
         rng = np.random.default_rng(31)
         c, A, rels, rhs, lb, ub = random_instance(rng)
@@ -902,3 +917,136 @@ class TestSolutionSlacks:
         check()
         with pytest.raises(KeyError):
             sol.slack(int(ids[-1]) + 1)
+
+
+# ----------------------------------------------------------------------
+# slacks over x's support, and the x and slack cache an engine keeps
+# ----------------------------------------------------------------------
+
+def bigm_lp(rng, n_scen=200, n_assets=5, k=8):
+    returns = 1.0 + rng.normal(0.05, 0.2, size=(n_scen, n_assets))
+    returns[:, -1] = 1.0
+    return build_saa_bigm(ScenarioSet(returns), 0.95, k,
+                          rng.uniform(1.0, 1.1, n_assets)).base
+
+
+def product_bound(A, x, rhs):
+    """A few ulp of the largest partial sum of rhs - A x, row by row."""
+    return 8 * np.finfo(float).eps * (np.abs(A) @ np.abs(x) + np.abs(rhs))
+
+
+class TestSupportSlacks:
+    def test_engine_slacks_on_both_paths(self):
+        # x of every support size on a big-M model: a short support takes
+        # the support path, within a few ulp of rhs - A x; a longer one the
+        # BLAS product, bitwise
+        rng = np.random.default_rng(80)
+        m = bigm_lp(rng)
+        ns, n = m._n_slots, m.n_cols
+        A, rhs = m._A[:ns], m._rhs[:ns]
+        paths = Counter()
+        for size in list(range(1, 40)) + [n // 3, n // 2, n]:
+            for _ in range(3):
+                eng = lp._Engine(m)
+                eng.x = np.zeros(n)
+                support = rng.choice(n, size, replace=False)
+                eng.x[support] = rng.choice([1.0, -1.0], size) * rng.uniform(
+                    1e-3, 1e3, size)
+                got, want = eng._slack_values(), rhs - A @ eng.x
+                if lp._LINE * size <= n:
+                    paths["support"] += 1
+                    assert np.all(np.abs(got - want)
+                                  <= product_bound(A, eng.x, rhs))
+                else:
+                    paths["dense"] += 1
+                    assert got.tobytes() == want.tobytes()
+        assert paths["support"] > 10 and paths["dense"] > 10
+
+    def test_zero_x_takes_the_blas_product(self):
+        m = bigm_lp(np.random.default_rng(81))
+        eng = lp._Engine(m)
+        ns = m._n_slots
+        assert eng._slack_values().tobytes() == (
+            m._rhs[:ns] - m._A[:ns] @ eng.x).tobytes()
+
+
+def check_kept_state(m, seen):
+    """On a valid engine, re-deriving x leaves it bitwise unchanged, and a
+    kept slack cache equals a fresh recompute within a few ulp."""
+    eng = m._engine
+    if eng is None or not eng.valid:
+        return
+    ns = m._n_slots
+    x, s = eng.x.copy(), eng._s
+    if s is not None:
+        A, rhs = m._A[:ns], m._rhs[:ns]
+        assert s.size == ns
+        assert np.all(np.abs(s - (rhs - A @ x)) <= product_bound(A, x, rhs))
+        seen["kept"] += 1
+    eng._set_nonbasic_values()
+    eng._recompute_x()
+    assert eng.x.tobytes() == x.tobytes()
+    eng._s = s
+    seen["checked"] += 1
+
+
+class TestKeptState:
+    """Random edit sequences: after every edit and every solve, a valid
+    engine's x and slack cache are those a fresh derivation gives."""
+
+    def test_lp_master_edits(self):
+        seen = Counter()
+        for seed in range(6):
+            rng = np.random.default_rng(90 + seed)
+            m, _ = scenario_lp(rng, 40)
+            extra = 1.0 + rng.normal(0.04, 0.15, size=(400, 4))
+            extra[:, -1] = 1.0
+            bases = []
+            sol = lp_solve(m)
+            for _ in range(60):
+                ids = m.row_ids()[1:]           # the budget row stays
+                tight = ids[np.abs(sol.slacks_for(ids)) <= 1e-9]
+                loose = np.setdiff1d(ids, tight)
+                edit = rng.integers(5)
+                if edit == 0:
+                    rows = extra[rng.choice(400, rng.integers(1, 4))]
+                    m.add_rows(rows, ">=", np.full(len(rows), 0.95))
+                elif edit == 1 and tight.size:
+                    m.remove_row(int(rng.choice(tight)))
+                elif edit == 2 and loose.size:
+                    m.remove_row(int(rng.choice(loose)))
+                elif edit == 3:
+                    j = int(rng.integers(m.n_cols - 1))
+                    m.set_bounds(j, 0.0, rng.choice([np.inf, 0.5, 0.0]))
+                elif bases:
+                    sol = lp_solve(m, warm=bases[rng.integers(len(bases))])
+                check_kept_state(m, seen)
+                sol = lp_solve(m)
+                assert sol.status == lp.OPTIMAL
+                check_kept_state(m, seen)
+                bases.append(sol.basis)
+        assert seen["checked"] > 500 and seen["kept"] > 200
+
+    def test_big_m_node_edits(self):
+        seen = Counter()
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            m = bigm_lp(rng, n_scen=60, n_assets=4, k=5)
+            binaries = np.arange(4, m.n_cols)
+            bases = [lp_solve(m).basis]
+            for _ in range(40):
+                if rng.random() < 0.3:
+                    lp_solve(m, warm=bases[rng.integers(len(bases))])
+                    check_kept_state(m, seen)
+                # a node patch: the binaries' bounds with a few fixed
+                lower, upper = np.zeros(binaries.size), np.ones(binaries.size)
+                fix = rng.choice(binaries.size, 6, replace=False)
+                lower[fix[:2]] = 1.0
+                upper[fix[2:]] = 0.0
+                m.set_bounds(binaries, lower, upper)
+                check_kept_state(m, seen)
+                sol = lp_solve(m)
+                check_kept_state(m, seen)
+                if sol.status == lp.OPTIMAL:
+                    bases.append(sol.basis)
+        assert seen["checked"] > 200 and seen["kept"] > 100
