@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the memory check that
+raises one before an oversized allocation."""
+
+import os
 
 
 class CcsaaError(Exception):
@@ -7,6 +10,15 @@ class CcsaaError(Exception):
 
 class ConfigError(CcsaaError):
     """Invalid configuration, instance file, or argument."""
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ConfigError when ``need`` bytes exceed the machine's physical
+    memory, so that an allocation it cannot hold is refused before it is made."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"{what} needs {need / 2**30:.1f} GiB, more than "
+                          f"the {have / 2**30:.1f} GiB of physical memory")
 
 
 class NoFeasibleBudget(CcsaaError):

@@ -331,6 +331,7 @@ class _Engine:
         self.x = np.zeros(n)
         self._s = None              # cached slack values over all slots
         self._AS = self._AS_key = None  # cached tight rows A[S], and its S
+        self._y = self._y_key = None    # cached objective duals, and their (S, T)
         self.valid = False
 
     # -- construction / loading ---------------------------------------
@@ -463,7 +464,14 @@ class _Engine:
             raise _KernelSingular from None
 
     def _duals_kernel(self, c):
-        return self._ksolve(c[self.T], transpose=True)
+        if c is not self.m.obj:
+            return self._ksolve(c[self.T], transpose=True)
+        # the objective's duals change only with the basis: solution(),
+        # detach_row and a dual phase after dual_feasible reuse them
+        key = (tuple(self.S), tuple(self.T))
+        if key != self._y_key:
+            self._y, self._y_key = self._ksolve(c[self.T], transpose=True), key
+        return self._y
 
     def _set_nonbasic_values(self):
         m = self.m

@@ -16,14 +16,13 @@ each node costs a handful of dual pivots.
 """
 
 import heapq
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
-from .errors import ConfigError, InfeasibleModel
+from .errors import ConfigError, InfeasibleModel, check_memory
 from .reports import STATUS_OK, STATUS_TIME_LIMIT, SolveReport, WorkingSet
 from .saa import ScenarioSet, evaluate_outcomes
 
@@ -85,12 +84,7 @@ def build_saa_bigm(scenarios: ScenarioSet, alpha: float, k: int,
         raise ValueError(f"objective has dimension {c.size}, expected {n}")
     if not 0 <= k < N:
         raise ValueError(f"need 0 <= k < N, got k={k}, N={N}")
-    need = 8 * (N + 2) * (N + n)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(f"the big-M model at N={N} needs {need / 2**30:.1f} "
-                          f"GiB, more than the {have / 2**30:.1f} GiB of "
-                          "physical memory")
+    check_memory(8 * (N + 2) * (N + n), f"the big-M model at N={N}")
     M = big_m_values(scenarios, alpha)
     model = lp.LpModel(np.concatenate([c, np.zeros(N)]),
                        lower=np.zeros(n + N),

@@ -35,9 +35,10 @@ class ScenarioSet:
         r = np.asarray(self.returns, dtype=float)
         if r.ndim != 2 or r.shape[0] < 1:
             raise ValueError("returns must be a non-empty N x n matrix")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("returns must be finite")
         r = np.asfortranarray(r)
+        # one column at a time: no N x n boolean temporary
+        if not all(np.isfinite(col).all() for col in r.T):
+            raise ValueError("returns must be finite")
         r.setflags(write=False)
         object.__setattr__(self, "returns", r)
 

@@ -613,6 +613,21 @@ class TestCommandLine:
         assert "time limit must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n-scenarios", "100000000000", "--out", "out"],
+        ["solve", "--method", "asm1", "--n-scenarios", "100000000000",
+         "--out", "out"],
+        ["validate", "--test-size", "100000000000", "--report", "r.json"]])
+    def test_draw_larger_than_memory_exit_code(self, tmp_path, capsys,
+                                               monkeypatch, argv):
+        # refused before the draw is allocated, and before any file is written
+        monkeypatch.chdir(tmp_path)
+        write_instance("inst.json", small_instance(seed=9))
+        Path("r.json").write_text("[0, 0, 0, 1]\n")
+        assert main(argv + ["--instance", "inst.json"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not Path("out").exists()
+
     def test_semicontinuous_dual_method_rejected(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         write_instance(inst_path, small_instance(seed=12))

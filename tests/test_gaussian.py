@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,8 @@ class TestSampling:
         c = sample_scenarios(m, 100, seed=8)
         assert not np.array_equal(a.returns, c.returns)
 
-    @pytest.mark.parametrize("count", [1, 7, 500, 8191, 8192, 8193, 10000])
+    @pytest.mark.parametrize("count", [1, 7, 500, 2047, 2048, 2049, 4097, 8191,
+                                       8192, 8193, 10000])
     def test_column_major_and_bit_identical(self, count):
         rng = np.random.default_rng(2)
         A = rng.normal(size=(4, 4)) * 0.1
@@ -105,6 +108,25 @@ class TestSampling:
         assert r.flags.f_contiguous and not r.flags.writeable
         assert r.shape == (count, 4)
         assert r.tobytes(order="C") == want.tobytes(order="C")
+
+    def test_peak_memory_is_the_returned_array(self):
+        # draws stream into the one output array through small block buffers
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(4, 4)) * 0.1
+        m = GaussianModel([1.1, 1.05, 1.02, 1.0], A @ A.T)
+        tracemalloc.start()
+        try:
+            r = sample_scenarios(m, 200_000, seed=21).returns
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * r.nbytes
+
+    def test_draw_larger_than_memory_is_refused(self):
+        # 32 TB: refused before anything is allocated
+        m = GaussianModel([1.1, 1.05, 1.02, 1.0], np.eye(4) * 0.01)
+        with pytest.raises(ConfigError, match="physical memory"):
+            sample_scenarios(m, 10**12, seed=1)
 
     def test_law_of_large_numbers(self):
         rng = np.random.default_rng(5)
