@@ -38,6 +38,8 @@ SWEEP_COLUMNS = ["w", "n_scenarios", "k", "runs", "objective_mean",
                  "test_violation_rate_mean"]
 
 ALL_METHODS = METHODS + ("exact-mip", "socp")
+# rows of a scenario file parsed at a time: small beside the array they fill
+_CSV_ROWS = 512
 
 
 @dataclass
@@ -367,14 +369,29 @@ def _cmd_sample(args):
 
 
 def read_scenario_csv(path) -> ScenarioSet:
+    """A scenario file with an a1,...,an header: its rows are counted, then
+    read _CSV_ROWS at a time straight into one column-major array."""
     with open(path) as fh:
-        if not fh.readline().startswith("a"):
+        header = fh.readline()
+        if not header.startswith("a"):
             raise ConfigError(f"{path}: expected header a1,...,an")
+        body = fh.tell()
+        # loadtxt's rows: lines with anything before a comment
+        n_rows = sum(1 for line in fh if line.partition("#")[0].rstrip("\n"))
+        fh.seek(body)
+        returns = np.empty((header.count(",") + 1, n_rows)).T
         try:
-            # an empty body warns here, and ScenarioSet refuses it
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                returns = np.loadtxt(fh, delimiter=",", ndmin=2)
+                warnings.simplefilter("ignore")     # blank lines warn
+                for lo in range(0, n_rows, _CSV_ROWS):
+                    chunk = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                       max_rows=_CSV_ROWS)
+                    if chunk.shape != returns[lo:lo + _CSV_ROWS].shape:
+                        raise ValueError(
+                            f"rows {lo + 1}.. have {chunk.shape[1]} columns, "
+                            f"not the header's {returns.shape[1]}")
+                    returns[lo:lo + _CSV_ROWS] = chunk
+            # an empty body is refused here
             return ScenarioSet(returns, provenance=f"file({path})")
         except ValueError as e:
             raise ConfigError(f"{path}: {e}") from None

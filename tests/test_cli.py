@@ -1,16 +1,18 @@
 import csv
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccsaa import cli, heuristics
+from ccsaa import cli, heuristics, saa
 from ccsaa.certificate import max_removals
 from ccsaa.cli import (ExperimentConfig, RAW_COLUMNS, aggregate, main,
                        run_experiment, sweep_w, validate_solution)
 from ccsaa.data import Instance, write_instance
+from ccsaa.errors import ConfigError
 from ccsaa.gaussian import GaussianModel, sample_scenarios
 from ccsaa.heuristics import run_method
 from ccsaa.mip import SemiContinuousSpec, build_saa_bigm, mip_solve
@@ -123,6 +125,30 @@ class TestRunExperiment:
                     base_seed=13, test_set_size=1000)
         strip = RAW_COLUMNS.index("wall_time")
         serial, _ = run_experiment(ExperimentConfig(**base, jobs=1))
+        parallel, _ = run_experiment(ExperimentConfig(**base, jobs=2))
+        a = [[v for i, v in enumerate(r.as_list()) if i != strip] for r in serial]
+        b = [[v for i, v in enumerate(r.as_list()) if i != strip] for r in parallel]
+        assert a == b
+
+    def test_jobs_parallel_matches_serial_on_the_threaded_pass(self,
+                                                               monkeypatch):
+        # forked trial workers evaluate on helper threads of their own; none
+        # is inherited from the parent, which has joined all of its own
+        monkeypatch.setattr(saa, "_cores", lambda: 2)
+        passes, split = [], saa._on_threads
+
+        def spy(tasks):
+            passes.append(len(tasks))
+            return split(tasks)
+
+        monkeypatch.setattr(saa, "_on_threads", spy)
+        N = 2 * saa._RUN_BLOCKS * saa._BLOCK
+        base = dict(instance=small_instance(n_risky=11, seed=5),
+                    methods=["asm1"], n_grid=[N], trials=2, base_seed=13,
+                    test_set_size=1000)
+        strip = RAW_COLUMNS.index("wall_time")
+        serial, _ = run_experiment(ExperimentConfig(**base, jobs=1))
+        assert passes and set(passes) == {2}
         parallel, _ = run_experiment(ExperimentConfig(**base, jobs=2))
         a = [[v for i, v in enumerate(r.as_list()) if i != strip] for r in serial]
         b = [[v for i, v in enumerate(r.as_list()) if i != strip] for r in parallel]
@@ -371,6 +397,35 @@ class TestCommandLine:
         back = cli.read_scenario_csv(scen_path)
         assert np.array_equal(back.returns,
                               sample_scenarios(inst.model, 500, 5).returns)
+
+    def test_scenario_file_read_into_one_array(self, tmp_path):
+        # the body goes straight into one column-major array, chunk by chunk
+        rows = np.random.default_rng(4).normal(1.0, 0.1, size=(20_000, 21))
+        path = tmp_path / "scen.csv"
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(f"a{j + 1}" for j in range(21)))
+        tracemalloc.start()
+        try:
+            back = cli.read_scenario_csv(path).returns
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, rows) and back.flags.f_contiguous
+        assert peak <= 1.1 * back.nbytes
+
+    def test_scenario_file_chunks(self, tmp_path, monkeypatch):
+        # blank and comment lines are no rows, as for np.loadtxt, and a
+        # chunk of another width is refused like a ragged row
+        monkeypatch.setattr(cli, "_CSV_ROWS", 3)
+        body = "1,2\n\n3,4 # c\n# only a comment\n5,6\n7,8\n\n9,10"
+        path = tmp_path / "scen.csv"
+        path.write_text("a1,a2\n" + body)
+        back = cli.read_scenario_csv(path).returns
+        assert np.array_equal(back, np.arange(1.0, 11.0).reshape(5, 2))
+        for width in ("7\n8\n9\n", "7,8,1\n8,9,1\n"):
+            path.write_text("a1,a2\n1,2\n3,4\n5,6\n" + width)
+            with pytest.raises(ConfigError, match="columns"):
+                cli.read_scenario_csv(path)
 
     def test_malformed_scenario_file_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -294,3 +297,126 @@ class TestSupportEvaluation:
         values = evaluate_outcomes(x, sc, spec).values
         assert np.array_equal(
             values, 0.97 - (sc.returns[:, 1] * 0.25 + sc.returns[:, 4] * 0.75))
+
+
+def blockless_reference(x, returns, alpha):
+    """The evaluation's arithmetic over whole columns, one thread: the head
+    column's product, each further support column's product added in
+    order, then alpha minus the sum; the dense branch's one product."""
+    support = np.flatnonzero(x)
+    if not 0 < support.size <= saa._DENSE_SHARE * x.size:
+        values = alpha - returns @ x
+    else:
+        values = returns[:, support[0]] * x[support[0]]
+        for j in support[1:]:
+            values += returns[:, j] * x[j]
+        values = alpha - values
+    return values, np.flatnonzero(values > VIOLATION_TOL)
+
+
+@pytest.fixture
+def pass_runs(monkeypatch):
+    """Two cores whatever the machine has; records the task count of every
+    split pass."""
+    monkeypatch.setattr(saa, "_cores", lambda: 2)
+    runs, split = [], saa._on_threads
+
+    def spy(tasks):
+        runs.append(len(tasks))
+        return split(tasks)
+
+    monkeypatch.setattr(saa, "_on_threads", spy)
+    return runs
+
+
+class TestThreadedPass:
+    """Many row blocks are split over the cores; the values, the violated
+    set and the ranking equal one thread's bit for bit."""
+
+    n = 21
+    threshold = 2 * saa._RUN_BLOCKS * saa._BLOCK    # 8 blocks: split from 7 and a row
+
+    @pytest.fixture(scope="class")
+    def returns(self):
+        rng = np.random.default_rng(31)
+        return rng.normal(1.0, 0.1, size=(self.threshold + 1_234, self.n))
+
+    @pytest.mark.parametrize("N, split", [
+        (threshold - saa._BLOCK, False),        # one block short
+        (threshold - saa._BLOCK + 1, True),     # a last block of one row
+        (threshold, True),
+        (threshold + 1_234, True)])              # a short last block
+    def test_values_and_violated_equal_one_thread(self, returns, pass_runs,
+                                                  N, split):
+        rng = np.random.default_rng(N)
+        sc = ScenarioSet(returns[:N])
+        spec = ChanceProgramSpec(1.0, np.ones(self.n))
+        xs = [np.zeros(self.n), rng.dirichlet(np.ones(self.n))]   # dense
+        for size in range(1, 8):
+            x = np.zeros(self.n)
+            x[rng.choice(self.n, size, replace=False)] = rng.dirichlet(np.ones(size))
+            xs.append(x)
+        for x in xs:
+            values, violated = blockless_reference(x, sc.returns, spec.alpha)
+            out = evaluate_outcomes(x, sc, spec)
+            assert np.array_equal(out.values, values)
+            assert np.array_equal(out.violated, violated)
+            assert out.violated.dtype == violated.dtype
+        assert pass_runs == ([2] * 7 if split else [])
+
+    def test_ranked_is_the_stable_descending_order(self, returns, pass_runs):
+        # returns on a coarse grid: outcomes tie in long runs across blocks
+        # and across the two runs
+        sc = ScenarioSet(np.round(returns * 64) / 64)
+        x = np.zeros(self.n)
+        x[[2, 11]] = [0.5, 0.5]
+        out = evaluate_outcomes(x, sc, ChanceProgramSpec(1.0, np.ones(self.n)))
+        v = out.values
+        assert pass_runs == [2]
+        assert np.unique(v[out.violated]).size < out.violation_count / 100
+        want = np.argsort(-v, kind="stable")[:out.violation_count]
+        assert np.array_equal(out.ranked, want)
+        assert out.violation_count == np.count_nonzero(v > VIOLATION_TOL)
+
+    def test_more_runs_than_cores_with_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        N = 9 * saa._BLOCK - 77
+        sc = ScenarioSet(rng.normal(1.0, 0.1, size=(N, 7)))
+        spec = ChanceProgramSpec(1.0, np.ones(7))
+        monkeypatch.setattr(saa, "_cores", lambda: 8)
+        monkeypatch.setattr(saa, "_RUN_BLOCKS", 1)      # eight runs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for size in (1, 2):
+                x = np.zeros(7)
+                x[rng.choice(7, size, replace=False)] = rng.dirichlet(np.ones(size))
+                values, violated = blockless_reference(x, sc.returns, spec.alpha)
+                out = evaluate_outcomes(x, sc, spec)
+                assert np.array_equal(out.values, values)
+                assert np.array_equal(out.violated, violated)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_a_call(self, returns, pass_runs):
+        before = threading.active_count()
+        x = np.zeros(self.n)
+        x[4] = 1.0
+        evaluate_outcomes(x, ScenarioSet(returns),
+                          ChanceProgramSpec(1.0, np.ones(self.n)))
+        assert pass_runs == [2]
+        assert threading.active_count() == before
+
+    def test_a_helper_exception_reaches_the_caller(self):
+        before = threading.active_count()
+        done = []
+
+        def fail():
+            raise ZeroDivisionError("in a helper")
+
+        with pytest.raises(ZeroDivisionError, match="in a helper"):
+            saa._on_threads([lambda: done.append(0), fail,
+                             lambda: done.append(2)])
+        assert sorted(done) == [0, 2]       # the other tasks ran to the end
+        assert threading.active_count() == before
+        assert saa._on_threads([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
