@@ -17,6 +17,7 @@ Everything is evaluated in log space (log-gamma binomials, log-sum-exp
 series) so N up to 1e6 is routine.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,14 +120,10 @@ def max_removals(n_scenarios: int, spec: RiskSpec, sum_limit: str = "campi") -> 
         hi *= 2
     hi = min(hi, N - 1)
     lo = hi // 2 if hi > 1 else 0
-    # Invariant: ok(lo); find largest feasible k in [lo, hi].
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return ScenarioBudget(N, lo, float(10.0 ** cg_log_beta(N, lo, spec, sum_limit)))
+    # ok(lo) holds: the largest feasible k precedes the first infeasible one
+    k = bisect.bisect_left(range(hi + 1), True, lo=lo + 1,
+                           key=lambda j: not ok(j)) - 1
+    return ScenarioBudget(N, k, float(10.0 ** cg_log_beta(N, k, spec, sum_limit)))
 
 
 def binomial_upper_limit(violations: int, trials: int, confidence: float) -> float:

@@ -415,9 +415,12 @@ def pool_and_discard(scenarios, spec, budget: ScenarioBudget, fast: bool,
         if kept is None:
             break
         _, obj, violations = kept
+    else:
+        status = STATUS_TIME_LIMIT      # the loop ended on the clock
 
     # keep only rows binding at the incumbent in the reported working set
-    return master.report(method, obj, seed=seed, violations=violations,
+    return master.report(method, obj, seed=seed, status=status,
+                         violations=violations,
                          working_set=master.working_set(master.binding()))
 
 

@@ -7,7 +7,7 @@ positive outcomes are violations.
 """
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +23,9 @@ VIOLATION_TOL = 1e-9
 # that stay in cache; one with over a third of them (or none) takes BLAS.
 _BLOCK = 32_768
 _DENSE_SHARE = 1 / 3
-# Blocks are split in contiguous runs of at least _RUN_BLOCKS, one per core.
-# Two threads broke even near 7 blocks on a 2-core machine: 5% slower at 6,
-# 6% faster at 8 and 28% faster at 31 (N = 1e6).
+# One worker per core and per _RUN_BLOCKS blocks claims blocks: helpers from
+# 8 blocks on. Two threads broke even near 7 blocks on a 2-core machine: 5%
+# slower at 6, 6% faster at 8 and 28% faster at 31 (N = 1e6).
 _RUN_BLOCKS = 4
 
 
@@ -90,23 +90,17 @@ class ChanceProgramSpec:
 class OutcomeVector:
     """Per-scenario violation values with ranked views.
 
-    ``ranked`` orders the *violated* scenarios by outcome, largest first
-    (ties broken by ascending scenario index), as original scenario indices.
-    ``evaluate_outcomes`` gives ``violated`` built in its pass over row
-    blocks split across the process's cores, bit for bit the lazy one.
+    ``violated``, the violated scenarios ascending, comes from the workers
+    of ``evaluate_outcomes``'s per-call thread pool, which claim blocks from
+    a shared counter, or else from one pass over the values. ``ranked``
+    orders them by outcome, largest first (ties by ascending index).
     """
 
     def __init__(self, values: np.ndarray, violated: np.ndarray | None = None):
         self.values = values
-        self._violated = violated
+        self.violated = (np.flatnonzero(values > VIOLATION_TOL)
+                         if violated is None else violated)
         self._ranked = None
-
-    @property
-    def violated(self) -> np.ndarray:
-        """Violated scenario indices, ascending."""
-        if self._violated is None:
-            self._violated = np.flatnonzero(self.values > VIOLATION_TOL)
-        return self._violated
 
     @property
     def violation_count(self) -> int:
@@ -150,33 +144,6 @@ def _cores() -> int:
             else os.cpu_count() or 1)
 
 
-def _on_threads(tasks) -> list:
-    """Results of the no-argument callables ``tasks``: the first runs on
-    this thread, the others on helper threads joined before this returns;
-    an exception raised in any of them is raised here."""
-    results, failed = [None] * len(tasks), []
-
-    def call(i):
-        try:
-            results[i] = tasks[i]()
-        except BaseException as e:      # re-raised below, after the joins
-            failed.append(e)
-
-    threads = [threading.Thread(target=call, args=(i,))
-               for i in range(1, len(tasks))]
-    try:
-        for t in threads:
-            t.start()
-        call(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:     # started
-                t.join()
-    if failed:
-        raise failed[0]
-    return results
-
-
 def add_scenario_row(model: lp.LpModel, scenarios: ScenarioSet,
                      spec: ChanceProgramSpec, index: int) -> int:
     """Append the row ``r_index . x >= alpha``, zero on any extra columns
@@ -214,9 +181,10 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
     """O_i = alpha - r_i . x for every scenario, with ranking on demand.
 
     An x with few nonzero assets is read over their columns in row blocks
-    that stay in cache, each block's violated set found while it is there;
-    many blocks are split in contiguous runs over the process's cores, with
-    the same values and violated set bit for bit whatever the split."""
+    that stay in cache, each block's violated set found while it is there.
+    From 8 blocks on, helpers on a per-call thread pool claim blocks from a
+    shared counter alongside the caller, one worker per core; the values
+    and the violated set are the same bit for bit whoever claims a block."""
     x = np.asarray(x, dtype=float)
     if x.shape != (scenarios.n_assets,):
         raise ValueError(f"x has dimension {x.shape}, expected ({scenarios.n_assets},)")
@@ -229,12 +197,16 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
     N = r.shape[0]
     values = np.empty(N)
     head, *rest = support
+    blocks = -(-N // _BLOCK)
+    found = [None] * blocks
+    # next() on a range iterator is atomic under CPython's GIL, so the
+    # workers sharing it claim every block exactly once
+    claims = iter(range(blocks))
 
-    def run(first, stop):
-        """Rows first..stop-1 (whole blocks); their violated indices."""
-        term = np.empty(min(_BLOCK, stop - first))
-        found = []
-        for lo in range(first, stop, _BLOCK):
+    def work():
+        term = np.empty(min(_BLOCK, N))
+        for b in claims:
+            lo = b * _BLOCK
             block = values[lo:lo + _BLOCK]
             np.multiply(r[lo:lo + _BLOCK, head], x[head], out=block)
             for j in rest:
@@ -243,17 +215,17 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
             np.subtract(spec.alpha, block, out=block)
             hits = np.nonzero(block > VIOLATION_TOL)[0]
             hits += lo
-            found.append(hits)
-        return found
+            found[b] = hits
 
-    blocks = -(-N // _BLOCK)
-    runs = min(_cores(), blocks // _RUN_BLOCKS)
-    if runs < 2:
-        found = run(0, N)
+    helpers = min(_cores(), blocks // _RUN_BLOCKS) - 1
+    if helpers < 1:
+        work()
     else:
-        edges = [_BLOCK * (blocks * i // runs) for i in range(runs)] + [N]
-        found = sum(_on_threads([lambda a=a, b=b: run(a, b)
-                                 for a, b in zip(edges, edges[1:])]), [])
+        with ThreadPoolExecutor(helpers) as pool:   # joined on leaving
+            futures = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for f in futures:
+            f.result()      # raises a helper's exception
     return OutcomeVector(values, np.concatenate(found))
 
 

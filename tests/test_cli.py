@@ -131,24 +131,16 @@ class TestRunExperiment:
         assert a == b
 
     def test_jobs_parallel_matches_serial_on_the_threaded_pass(self,
-                                                               monkeypatch):
-        # forked trial workers evaluate on helper threads of their own; none
-        # is inherited from the parent, which has joined all of its own
-        monkeypatch.setattr(saa, "_cores", lambda: 2)
-        passes, split = [], saa._on_threads
-
-        def spy(tasks):
-            passes.append(len(tasks))
-            return split(tasks)
-
-        monkeypatch.setattr(saa, "_on_threads", spy)
+                                                               helper_pools):
+        # forked trial workers evaluate on thread pools of their own; no
+        # thread is inherited from the parent, which has joined all of its own
         N = 2 * saa._RUN_BLOCKS * saa._BLOCK
         base = dict(instance=small_instance(n_risky=11, seed=5),
                     methods=["asm1"], n_grid=[N], trials=2, base_seed=13,
                     test_set_size=1000)
         strip = RAW_COLUMNS.index("wall_time")
         serial, _ = run_experiment(ExperimentConfig(**base, jobs=1))
-        assert passes and set(passes) == {2}
+        assert helper_pools and set(helper_pools) == {1}
         parallel, _ = run_experiment(ExperimentConfig(**base, jobs=2))
         a = [[v for i, v in enumerate(r.as_list()) if i != strip] for r in serial]
         b = [[v for i, v in enumerate(r.as_list()) if i != strip] for r in parallel]

@@ -365,6 +365,37 @@ class TestTimedOutPolish:
         assert len(self.run(monkeypatch, stop_at_solve=3).working_set) == 2
 
 
+class TestTimedOutDiscard:
+    """PND and FPND report ``time_limit`` when the clock ends their discard
+    phase and ``ok`` when the phase ends by itself; the clock is replaced
+    by one that stops after a given number of discard rounds."""
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_status_says_how_the_discard_phase_ended(self, monkeypatch, fast):
+        sc, spec, _ = make_instance(20, n_risky=5, n_scen=100, alpha=0.97)
+        budget = ScenarioBudget(100, 5, 1e-6)
+
+        def run(rounds):
+            checks = []     # master solves at each discard-phase check
+
+            def clock(master):
+                if master.outcomes.violation_count <= budget.k_removals:
+                    checks.append(master.solves)
+                return len(checks) > rounds
+
+            monkeypatch.setattr(_Master, "out_of_time", clock)
+            return pool_and_discard(sc, spec, budget, fast=fast), checks
+
+        free, checks = run(rounds=float("inf"))
+        assert free.status == "ok"
+        assert len(checks) == 2 and free.lp_solves > checks[-1]
+        for rounds, solves in enumerate(checks):
+            rep, _ = run(rounds)
+            assert (rep.status, rep.lp_solves) == ("time_limit", solves)
+            assert rep.train_violations <= budget.k_removals
+            assert rep.objective <= free.objective
+
+
 class TestBestRemoval:
     def test_keeps_best_trial_and_restores(self):
         sc, spec, _ = make_instance(8, n_risky=4)

@@ -314,40 +314,44 @@ def blockless_reference(x, returns, alpha):
     return values, np.flatnonzero(values > VIOLATION_TOL)
 
 
-@pytest.fixture
-def pass_runs(monkeypatch):
-    """Two cores whatever the machine has; records the task count of every
-    split pass."""
-    monkeypatch.setattr(saa, "_cores", lambda: 2)
-    runs, split = [], saa._on_threads
+class WatchedReturns(np.ndarray):
+    """Scenario returns that call ``self.watch(block)`` on the thread that
+    reads a block's rows, each time it reads them."""
 
-    def spy(tasks):
-        runs.append(len(tasks))
-        return split(tasks)
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and isinstance(key[0], slice):
+            self.watch(key[0].start // saa._BLOCK)
+        return super().__getitem__(key).view(np.ndarray)
 
-    monkeypatch.setattr(saa, "_on_threads", spy)
-    return runs
+
+def watched(returns, watch):
+    sc = ScenarioSet(returns)
+    r = sc.returns.view(WatchedReturns)
+    r.watch = watch
+    object.__setattr__(sc, "returns", r)
+    return sc
 
 
 class TestThreadedPass:
-    """Many row blocks are split over the cores; the values, the violated
-    set and the ranking equal one thread's bit for bit."""
+    """From 8 row blocks on, helper threads claim blocks alongside the
+    caller; the values, the violated set and the ranking equal one thread's
+    bit for bit."""
 
     n = 21
-    threshold = 2 * saa._RUN_BLOCKS * saa._BLOCK    # 8 blocks: split from 7 and a row
+    threshold = 2 * saa._RUN_BLOCKS * saa._BLOCK    # 8 blocks: helped from 7 and a row
 
     @pytest.fixture(scope="class")
     def returns(self):
         rng = np.random.default_rng(31)
         return rng.normal(1.0, 0.1, size=(self.threshold + 1_234, self.n))
 
-    @pytest.mark.parametrize("N, split", [
+    @pytest.mark.parametrize("N, helped", [
         (threshold - saa._BLOCK, False),        # one block short
         (threshold - saa._BLOCK + 1, True),     # a last block of one row
         (threshold, True),
         (threshold + 1_234, True)])              # a short last block
-    def test_values_and_violated_equal_one_thread(self, returns, pass_runs,
-                                                  N, split):
+    def test_values_and_violated_equal_one_thread(self, returns, helper_pools,
+                                                  N, helped):
         rng = np.random.default_rng(N)
         sc = ScenarioSet(returns[:N])
         spec = ChanceProgramSpec(1.0, np.ones(self.n))
@@ -362,29 +366,29 @@ class TestThreadedPass:
             assert np.array_equal(out.values, values)
             assert np.array_equal(out.violated, violated)
             assert out.violated.dtype == violated.dtype
-        assert pass_runs == ([2] * 7 if split else [])
+        assert helper_pools == ([1] * 7 if helped else [])
 
-    def test_ranked_is_the_stable_descending_order(self, returns, pass_runs):
+    def test_ranked_is_the_stable_descending_order(self, returns, helper_pools):
         # returns on a coarse grid: outcomes tie in long runs across blocks
-        # and across the two runs
         sc = ScenarioSet(np.round(returns * 64) / 64)
         x = np.zeros(self.n)
         x[[2, 11]] = [0.5, 0.5]
         out = evaluate_outcomes(x, sc, ChanceProgramSpec(1.0, np.ones(self.n)))
         v = out.values
-        assert pass_runs == [2]
+        assert helper_pools == [1]
         assert np.unique(v[out.violated]).size < out.violation_count / 100
         want = np.argsort(-v, kind="stable")[:out.violation_count]
         assert np.array_equal(out.ranked, want)
         assert out.violation_count == np.count_nonzero(v > VIOLATION_TOL)
 
-    def test_more_runs_than_cores_with_fast_switching(self, monkeypatch):
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch,
+                                                         helper_pools):
         rng = np.random.default_rng(32)
         N = 9 * saa._BLOCK - 77
         sc = ScenarioSet(rng.normal(1.0, 0.1, size=(N, 7)))
         spec = ChanceProgramSpec(1.0, np.ones(7))
         monkeypatch.setattr(saa, "_cores", lambda: 8)
-        monkeypatch.setattr(saa, "_RUN_BLOCKS", 1)      # eight runs
+        monkeypatch.setattr(saa, "_RUN_BLOCKS", 1)      # eight workers
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -397,26 +401,65 @@ class TestThreadedPass:
                 assert np.array_equal(out.violated, violated)
         finally:
             sys.setswitchinterval(interval)
+        assert helper_pools == [7, 7]
 
-    def test_no_thread_outlives_a_call(self, returns, pass_runs):
+    @pytest.mark.parametrize("start", [1, 4, 8])
+    def test_a_late_helper_gives_the_same_bits(self, returns, helper_pools,
+                                               monkeypatch, start):
+        # the helper starts once the caller reads block ``start``, so the
+        # caller claims blocks 0 to ``start`` first (at 8, all nine)
+        caller, go = threading.get_ident(), threading.Event()
+        readers = {}
+
+        def watch(block):
+            readers.setdefault(block, set()).add(threading.get_ident())
+            if block == start:
+                go.set()
+
+        class LatePool(saa.ThreadPoolExecutor):
+            def submit(self, work):
+                return super().submit(lambda: go.wait(10) and work())
+
+        monkeypatch.setattr(saa, "ThreadPoolExecutor", LatePool)
+        sc = watched(returns, watch)
+        x = np.zeros(self.n)
+        x[[3, 8, 15]] = [0.2, 0.3, 0.5]
+        out = evaluate_outcomes(x, sc, ChanceProgramSpec(1.0, np.ones(self.n)))
+        values, violated = blockless_reference(x, returns, 1.0)
+        assert np.array_equal(out.values, values)
+        assert np.array_equal(out.violated, violated)
+        assert helper_pools == [1]
+        assert sorted(readers) == list(range(9))
+        assert all(len(ids) == 1 for ids in readers.values())
+        assert all(readers[b] == {caller} for b in range(start + 1))
+
+    def test_a_helper_exception_reaches_the_caller(self, returns,
+                                                   helper_pools):
+        # the caller waits, in the first block it claims, until a helper
+        # has failed in another, then evaluates the rest
+        before = threading.active_count()
+        caller, failed = threading.get_ident(), threading.Event()
+
+        def watch(block):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise ZeroDivisionError(f"in block {block}")
+            if not failed.is_set():
+                assert failed.wait(10)
+
+        x = np.zeros(self.n)
+        x[4] = 1.0
+        with pytest.raises(ZeroDivisionError, match=r"in block \d"):
+            evaluate_outcomes(x, watched(returns, watch),
+                              ChanceProgramSpec(1.0, np.ones(self.n)))
+        assert helper_pools == [1]
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, returns, helper_pools):
         before = threading.active_count()
         x = np.zeros(self.n)
         x[4] = 1.0
         evaluate_outcomes(x, ScenarioSet(returns),
                           ChanceProgramSpec(1.0, np.ones(self.n)))
-        assert pass_runs == [2]
+        assert helper_pools == [1]
         assert threading.active_count() == before
-
-    def test_a_helper_exception_reaches_the_caller(self):
-        before = threading.active_count()
-        done = []
-
-        def fail():
-            raise ZeroDivisionError("in a helper")
-
-        with pytest.raises(ZeroDivisionError, match="in a helper"):
-            saa._on_threads([lambda: done.append(0), fail,
-                             lambda: done.append(2)])
-        assert sorted(done) == [0, 2]       # the other tasks ran to the end
-        assert threading.active_count() == before
-        assert saa._on_threads([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
