@@ -382,7 +382,8 @@ def read_scenario_csv(path) -> ScenarioSet:
         returns = np.empty((header.count(",") + 1, n_rows)).T
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")     # blank lines warn
+                # numpy warns of each blank line
+                warnings.filterwarnings("ignore", "Input line", UserWarning)
                 for lo in range(0, n_rows, _CSV_ROWS):
                     chunk = np.loadtxt(fh, delimiter=",", ndmin=2,
                                        max_rows=_CSV_ROWS)

@@ -304,9 +304,10 @@ def _removal(scenarios, spec, method, k, pick, first=True, semi=None,
     return master.report(method, obj, seed=seed)
 
 
-def solve_full(scenarios, spec, semi=None) -> SolveReport:
+def solve_full(scenarios, spec, semi=None, time_limit=None) -> SolveReport:
     """Enforce every scenario; the conservative zero-discard baseline."""
-    return _removal(scenarios, spec, "full", 0, None, semi=semi)
+    return _removal(scenarios, spec, "full", 0, None, semi=semi,
+                    time_limit=time_limit)
 
 
 def greedy_removal(scenarios, spec, budget: ScenarioBudget, semi=None,
@@ -570,7 +571,7 @@ def run_method(name: str, scenarios, spec, budget: ScenarioBudget,
         return exact_mip(scenarios, spec, budget, semi=semi,
                          time_limit=time_limit, seed=seed)
     if name == "full":
-        return solve_full(scenarios, spec, semi=semi)
+        return solve_full(scenarios, spec, semi=semi, time_limit=time_limit)
     if name == "grp":
         return greedy_removal(scenarios, spec, budget, semi=semi,
                               time_limit=time_limit)

@@ -104,10 +104,6 @@ class Basis:
     row_ids: np.ndarray             # row ids the snapshot knows about
     row_status: np.ndarray          # int8 aligned with row_ids
 
-    def copy(self) -> "Basis":
-        return Basis(self.col_status.copy(), self.row_ids.copy(),
-                     self.row_status.copy())
-
     @property
     def n_basic(self) -> int:
         return int((self.col_status == BASIC).sum()

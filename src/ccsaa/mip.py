@@ -9,10 +9,12 @@ so the search picks the best k rows to sacrifice.  M_s is tight on the unit
 simplex: the worst value of alpha - r_s . x over feasible x is
 alpha - min_j r_sj, clipped at zero and padded slightly.
 
-Search strategy: best-bound node selection, branching on the most fractional
-binary, with an initial depth-first dive to find the first incumbent fast.
-Nodes warm-start the bounded-variable simplex from their parent's basis, so
-each node costs a handful of dual pivots.
+Search strategy: best-bound selection from one queue of open nodes keyed
+by minus their bound, branching on the most fractional binary; while there
+is no incumbent the rounded child is keyed -inf, so the search dives to a
+first incumbent.  The root is pushed solved, and every other node is solved
+when taken, after one clock check, warm-started from its parent's basis at
+the cost of a handful of dual pivots.
 """
 
 import heapq
@@ -179,8 +181,12 @@ def mip_solve(model: MipModel, warm=None,
     ``warm`` is an optional incumbent point from a previous, related solve;
     it is adopted only after passing feasibility and integrality screening.
     At the time limit (None: none) the best incumbent is returned, flagged.
-    A node's binary bounds (the original bounds with the node's fixings
-    patched in) go to the model in one ``set_bounds`` call.
+    Open nodes wait in one heap keyed by minus their bound; while there is
+    no incumbent a branched node's rounded child is keyed -inf instead, so
+    it is taken next (the dive).  The root is pushed solved; every other
+    node is solved when taken, after one clock check, its binary bounds (the
+    original ones with its fixings patched in) going to the model in one
+    ``set_bounds`` call.
     """
     base = model.base
     t0 = time.perf_counter()
@@ -196,9 +202,6 @@ def mip_solve(model: MipModel, warm=None,
             lo[at], hi[at] = np.array(list(patch.values()), dtype=float).T
         base.set_bounds(binaries, lo, hi)
 
-    def restore():
-        base.set_bounds(binaries, lower, upper)
-
     incumbent_x, incumbent_obj, searched = None, -np.inf, False
     if warm is not None:
         w = np.asarray(warm, dtype=float)
@@ -208,9 +211,8 @@ def mip_solve(model: MipModel, warm=None,
     root = lp.lp_solve(base)
     nodes = 1
     if root.status != lp.OPTIMAL:
-        restore()
-        status = lp.INFEASIBLE if root.status == lp.INFEASIBLE else root.status
-        return MipResult(status, root.x, float("nan"), nodes,
+        set_patch({})
+        return MipResult(root.status, root.x, float("nan"), nodes,
                          base.stats.solves - solves_before, float("nan"),
                          float("nan"), False)
     root_bound = root.objective_value
@@ -218,23 +220,16 @@ def mip_solve(model: MipModel, warm=None,
     def gap_abs():
         return GAP * max(1.0, abs(incumbent_obj))
 
-    heap = []      # (-bound, tie, patch, basis)
+    # (key, tie, patch, bound, basis to warm-start from, solution or None)
+    heap = [(-root_bound, 0, {}, root_bound, None, root)]
     tie = 0
-    # the solved node to process next: the root, then the dive's rounded
-    # child until the first incumbent
-    dive = ({}, root)
     hit_limit = False
 
-    while dive or heap:
+    while heap:
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
             hit_limit = True
             break
-        if dive:
-            (patch, sol), dive = dive, None
-            bound = sol.objective_value
-        else:
-            negb, _, patch, basis = heapq.heappop(heap)
-            bound, sol = -negb, None
+        _, _, patch, bound, basis, sol = heapq.heappop(heap)
         if incumbent_x is not None and bound <= incumbent_obj + gap_abs():
             continue
         if sol is None:
@@ -252,34 +247,18 @@ def mip_solve(model: MipModel, warm=None,
                 incumbent_obj = sol.objective_value
                 searched = True
             continue
-        # children: explore the rounded side first while diving
+        # far child, then near: equal keys are taken in push order
         near = 1.0 if sol.x[j] >= 0.5 else 0.0
-        far = 1.0 - near
-        child_near = dict(patch)
-        child_near[j] = (near, near)
-        child_far = dict(patch)
-        child_far[j] = (far, far)
-        if incumbent_x is None:
+        for fix in (1.0 - near, near):
             tie += 1
-            heapq.heappush(heap, (-sol.objective_value, tie, child_far,
-                                  sol.basis.copy()))
-            # dive: solve the rounded side immediately
-            set_patch(child_near)
-            child_sol = lp.lp_solve(base, warm=sol.basis)
-            nodes += 1
-            if child_sol.status == lp.OPTIMAL:
-                dive = (child_near, child_sol)
-        else:
-            for child in (child_far, child_near):
-                tie += 1
-                heapq.heappush(heap, (-sol.objective_value, tie, child,
-                                      sol.basis.copy()))
+            key = -np.inf if fix == near and incumbent_x is None else -sol.objective_value
+            heapq.heappush(heap, (key, tie, {**patch, j: (fix, fix)},
+                                  sol.objective_value, sol.basis, None))
 
     # the best open node bounds what the search left unexplored
-    best_bound = max([incumbent_obj] + [-e[0] for e in heap]
-                     + ([dive[1].objective_value] if dive else []))
+    best_bound = max([incumbent_obj] + [e[3] for e in heap])
 
-    restore()
+    set_patch({})
     lp_solves = base.stats.solves - solves_before
     if incumbent_x is None:
         status = STATUS_TIME_LIMIT if hit_limit else lp.INFEASIBLE
@@ -295,7 +274,7 @@ def mip_solve(model: MipModel, warm=None,
         set_patch({j: (round(incumbent_x[j]), round(incumbent_x[j]))
                    for j in model.binaries})
         lp.lp_solve(base)
-        restore()
+        set_patch({})
     return MipResult(status, incumbent_x, incumbent_obj, nodes, lp_solves,
                      root_bound, gap, hit_limit)
 

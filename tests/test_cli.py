@@ -2,6 +2,7 @@ import csv
 import json
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,22 @@ class TestCommandLine:
             path.write_text("a1,a2\n1,2\n3,4\n5,6\n" + width)
             with pytest.raises(ConfigError, match="columns"):
                 cli.read_scenario_csv(path)
+
+    def test_scenario_file_reader_lets_other_warnings_through(
+            self, tmp_path, monkeypatch):
+        # only numpy's blank-line warning is silenced while the file parses
+        loadtxt = np.loadtxt
+
+        def deprecated(*args, **kwargs):
+            warnings.warn("a deprecated call", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", deprecated)
+        path = tmp_path / "scen.csv"
+        path.write_text("a1,a2\n1,2\n\n3,4\n")
+        with pytest.warns(DeprecationWarning, match="a deprecated call"):
+            back = cli.read_scenario_csv(path).returns
+        assert np.array_equal(back, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_malformed_scenario_file_exit_code(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -759,7 +759,7 @@ class TestBandedTimeLimit:
                          spec.cash_index)
         root = lp_solve(relaxed.base).x[: sc.n_assets]
         assert mip_solve(relaxed).node_count > 1    # a search to cut short
-        for name in ("grp", "rap", "pnd", "asm1", "asm2"):
+        for name in ("full", "grp", "rap", "pnd", "asm1", "asm2"):
             rep = run_method(name, sc, spec, budget, seed=3, semi=band,
                              time_limit=1e-9)
             assert (rep.method, rep.status) == (name, "time_limit"), name

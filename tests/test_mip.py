@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ccsaa import lp
+from ccsaa import lp, mip
 from ccsaa.certificate import ScenarioBudget
 from ccsaa.data import default_instance
 from ccsaa.errors import ConfigError
@@ -290,7 +290,7 @@ class TestNodeWork:
         monkeypatch.setattr(LpModel, "set_bounds", record)
         res = mip_solve(model)
         assert res.node_count > 3
-        # every solved node but the root, plus the final restore
+        # every solved node but the root, plus the final reset
         assert len(calls) == res.node_count
         assert all(np.array_equal(c, model.binaries) for c in calls)
         assert np.array_equal(base.lb, lower) and np.array_equal(base.ub, upper)
@@ -333,6 +333,93 @@ class TestNodeWork:
         assert len(at_root) > 1 and at_root[0]
         assert not any(at_root[1:])
         assert res.objective_value == 1.1476721722293097
+
+
+class TestQueueOrder:
+    """One queue of open nodes: the rounded child of a node branched
+    without an incumbent is taken next (the dive), then best bound, and the
+    clock is read before every node solve."""
+
+    @staticmethod
+    def model(seed):
+        """A 30-row big-M model, or without a seed a hand-made one whose
+        dive runs into an infeasible rounded child three times: max sum x
+        over four binaries with sum x <= 2.5 and x0 - x1 <= 0.5."""
+        if seed is None:
+            m = LpModel([1.0, 1.0, 1.0, 1.0], upper=[1.0] * 4)
+            m.add_row([1.0, 1.0, 1.0, 1.0], "<=", 2.5)
+            m.add_row([1.0, -1.0, 0.0, 0.0], "<=", 0.5)
+            return MipModel(base=m, binaries=[0, 1, 2, 3])
+        rng = np.random.default_rng(seed)
+        sc = gaussian_scenarios(rng, 30, np.array([1.06, 1.09]),
+                                np.array([0.12, 0.3]))
+        return build_saa_bigm(sc, 0.96, 3, np.array([1.06, 1.09, 1.0]))
+
+    @staticmethod
+    def record(monkeypatch, model, clock=None):
+        """Each node LP solve as (fixings, solution, clock at its start)."""
+        solved = []
+
+        def spy(m, *args, **kwargs):
+            fixed = {j: m.lb[j] for j in model.binaries if m.lb[j] == m.ub[j]}
+            start = None if clock is None else clock[0]
+            sol = lp_solve(m, *args, **kwargs)
+            if clock is not None:
+                clock[0] += 1.0
+            solved.append((fixed, sol, start))
+            return sol
+
+        monkeypatch.setattr(lp, "lp_solve", spy)
+        return solved
+
+    @pytest.mark.parametrize("seed", [None, 3], ids=["rounding", "big_m"])
+    def test_dive_then_best_bound(self, monkeypatch, seed):
+        model = self.model(seed)      # seed 3: a dive 29 nodes deep
+        solved = self.record(monkeypatch, model)
+        res = mip_solve(model)
+        assert (res.status, res.node_count) == ("optimal", len(solved))
+        first = next(i for i, (_, sol, _) in enumerate(solved)
+                     if sol.status == lp.OPTIMAL
+                     and _fractional(sol.x, model.binaries) < 0)
+        assert first > 2
+        # until the first incumbent, a node branched is followed by its
+        # rounded child (an infeasible child is followed by the best open node)
+        for (fixed, sol, _), (child, _, _) in zip(solved[:first], solved[1:first + 1]):
+            if sol.status == lp.OPTIMAL:
+                j = _fractional(sol.x, model.binaries)
+                assert child == {**fixed, j: 1.0 if sol.x[j] >= 0.5 else 0.0}
+        # after it, each node's bound (its parent's objective) never rises
+        parent = {frozenset(fixed.items()): sol for fixed, sol, _ in solved}
+        bounds = []
+        for fixed, _, _ in solved[first + 1:]:
+            for j in fixed:
+                up = parent.get(frozenset((i, v) for i, v in fixed.items() if i != j))
+                if up is not None and _fractional(up.x, model.binaries) == j:
+                    bounds.append(up.objective_value)
+        assert len(bounds) == len(solved) - first - 1 > 0
+        assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("seed", [None, 0], ids=["rounding", "big_m"])
+    def test_no_node_is_solved_after_the_clock_runs_out(self, monkeypatch, seed):
+        # the fake clock ticks once per LP solve
+        model = self.model(seed)
+        total = mip_solve(model).node_count
+        stopped_with_incumbent = 0
+        for limit in np.arange(total - 1) + 0.5:
+            clock = [0.0]
+            monkeypatch.setattr(mip, "time",
+                                SimpleNamespace(perf_counter=lambda: clock[0]))
+            solved = self.record(monkeypatch, model, clock)
+            res = mip_solve(model, time_limit=limit)
+            assert res.hit_time_limit and res.status == "time_limit"
+            assert res.node_count == len(solved)
+            assert all(start <= limit for _, _, start in solved), limit
+            if not np.isnan(res.objective_value):
+                stopped_with_incumbent += 1
+                obj = res.objective_value
+                assert res.gap >= 0.0
+                assert obj + res.gap * max(1.0, abs(obj)) <= res.root_bound
+        assert stopped_with_incumbent > 0
 
 
 class TestExactMipMethod:
