@@ -27,11 +27,11 @@ from .data import (Instance, estimate_moments, instance_from_dict,
                    read_instance, read_price_csv, returns_from_prices,
                    write_instance)
 from .errors import (CcsaaError, ConfigError, NoFeasibleBudget,
-                     NumericalFailure, UnsupportedForMip)
-from .gaussian import sample_scenarios, solve_gaussian_exact
+                     NumericalFailure, UnsupportedForMip, check_memory)
+from .gaussian import draw_blocks, sample_scenarios, solve_gaussian_exact
 from .heuristics import METHODS, AsmConfig, run_method
 from .reports import STATUS_OK, STATUS_TIME_LIMIT
-from .saa import ScenarioSet, evaluate_outcomes
+from .saa import ScenarioSet, count_violations, evaluate_outcomes
 
 SWEEP_COLUMNS = ["w", "n_scenarios", "k", "runs", "objective_mean",
                  "wall_time_mean", "constraints_added_mean",
@@ -40,6 +40,7 @@ SWEEP_COLUMNS = ["w", "n_scenarios", "k", "runs", "objective_mean",
 ALL_METHODS = METHODS + ("exact-mip", "socp")
 # rows of a scenario file parsed at a time: small beside the array they fill
 _CSV_ROWS = 512
+TEST_SET_SIZE = 100_000     # rows of a test draw unless told otherwise
 
 
 @dataclass
@@ -50,15 +51,16 @@ class ExperimentConfig:
     trials: int = 30
     base_seed: int = 1234
     time_limit: float = 3600.0
-    test_set_size: int = 100_000
+    test_set_size: int = TEST_SET_SIZE
     w: float = 0.5
     polish_iterations: int | None = None
     semicontinuous: bool = False
     jobs: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for name in ("trials", "jobs", "test_set_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not self.methods:
             raise ConfigError("methods must be non-empty")
         if any(n < 1 for n in self.n_grid):
@@ -115,51 +117,57 @@ def test_seed(base_seed: int, trial: int) -> int:
 
 def validate_solution(x, instance: Instance, test_set_size: int, seed: int,
                       beta: float | None = None):
-    """Out-of-sample violation rate and its one-sided upper confidence limit."""
-    test = sample_scenarios(instance.model, test_set_size, seed)
-    return _violation_rate(x, instance, test, beta)
+    """Out-of-sample violation rate and its one-sided upper confidence limit,
+    counted on a test draw streamed block by block: memory O(block)."""
+    return _violation_rates([x], instance, test_set_size, beta, draw_blocks(
+        instance.model, test_set_size, seed))[0]
 
 
-def _violation_rate(x, instance: Instance, test: ScenarioSet, beta=None):
-    """Violation rate of x on a given test set, with its upper limit."""
+def _violation_rates(xs, instance: Instance, size: int, beta, blocks):
+    """Each x's violation rate on the ``size`` rows of ``blocks``, with its
+    upper limit."""
     beta = instance.beta if beta is None else beta
     try:
-        violations = evaluate_outcomes(x, test,
-                                       instance.program_spec).violation_count
-    except ValueError as e:    # a non-finite x, or one of the wrong dimension
-        raise ConfigError(f"solution rejected: {e}") from None
-    rate = violations / test.n_scenarios
-    upper = binomial_upper_limit(violations, test.n_scenarios, 1.0 - beta)
-    return rate, upper
+        counts = count_violations(xs, blocks, instance.program_spec)
+    except ValueError as e:    # a bad x, a non-finite draw, a size below 1
+        raise ConfigError(f"validation refused: {e}") from None
+    return [(c / size, binomial_upper_limit(c, size, 1.0 - beta))
+            for c in counts]
 
 
-def _trial_row(method, inst, scenarios, budget, trial, seed, test, cfg, semi,
-               time_limit, eps=None, base=None):
-    """Run one method on a training set and validate it on ``test``: the
-    TrialRow, status ``time_limit`` past ``time_limit``, and the report.
-
-    socp solves the instance's Gaussian model at risk level ``eps`` (None:
-    k/N, or the instance's epsilon when k = 0), its training violations
-    counted; every other tag goes through run_method.
-    """
-    if method == "socp":
-        if eps is None:
-            eps = budget.discard_fraction if budget.k_removals > 0 else inst.epsilon
-        rep = solve_gaussian_exact(inst.model, inst.alpha, eps, semi=semi,
-                                   cash_index=inst.cash_index)
-        rep.train_violations = evaluate_outcomes(
-            rep.x, scenarios, inst.program_spec).violation_count
-    else:
-        rep = run_method(method, scenarios, inst.program_spec, budget, cfg=cfg,
-                         seed=seed, semi=semi, time_limit=time_limit, base=base)
-    rate, upper = _violation_rate(rep.x, inst, test)
-    status = rep.status
-    if time_limit is not None and rep.wall_time > time_limit:
-        status = STATUS_TIME_LIMIT
-    row = TrialRow(method, scenarios.n_scenarios, budget.k_removals, trial,
-                   seed, rep.objective, rep.wall_time, rep.lp_solves,
-                   rep.mip_nodes, rep.train_violations, rate, upper, status)
-    return row, rep
+def _trial_rows(methods, inst, scenarios, budget, trial, seed, cfg, semi,
+                time_limit, test, eps=None):
+    """The TrialRows and reports of ``methods`` on a training set, every x
+    then counted in one pass over the streamed draw ``test`` = (size, seed).
+    Two or more asm tags share one ASM-1 run; socp solves the Gaussian model
+    at risk ``eps`` (None: k/N, or epsilon at k = 0) and counts training
+    violations."""
+    base = (run_method("asm1", scenarios, inst.program_spec, budget, cfg=cfg,
+                       seed=seed, semi=semi, time_limit=time_limit)
+            if sum(m.startswith("asm") for m in methods) > 1 else None)
+    if eps is None:
+        eps = budget.discard_fraction if budget.k_removals > 0 else inst.epsilon
+    reps = []
+    for method in methods:
+        if method == "socp":
+            rep = solve_gaussian_exact(inst.model, inst.alpha, eps, semi=semi,
+                                       cash_index=inst.cash_index)
+            rep.train_violations = evaluate_outcomes(
+                rep.x, scenarios, inst.program_spec).violation_count
+        else:
+            rep = run_method(method, scenarios, inst.program_spec, budget,
+                             cfg=cfg, seed=seed, semi=semi,
+                             time_limit=time_limit, base=base)
+        reps.append(rep)
+    tested = _violation_rates([r.x for r in reps], inst, test[0], None,
+                              draw_blocks(inst.model, *test))
+    rows = [TrialRow(method, scenarios.n_scenarios, budget.k_removals, trial,
+                     seed, rep.objective, rep.wall_time, rep.lp_solves,
+                     rep.mip_nodes, rep.train_violations, rate, upper,
+                     STATUS_TIME_LIMIT if time_limit is not None
+                     and rep.wall_time > time_limit else rep.status)
+            for method, rep, (rate, upper) in zip(methods, reps, tested)]
+    return rows, reps
 
 
 def _trial_worker(config: ExperimentConfig, N, budget, trial):
@@ -169,16 +177,9 @@ def _trial_worker(config: ExperimentConfig, N, budget, trial):
     semi = inst.semicontinuous if config.semicontinuous else None
     seed = scenario_seed(config.base_seed, trial)
     scenarios = sample_scenarios(inst.model, N, seed)
-    # one test set per trial, shared by every method like the training set
-    test = sample_scenarios(inst.model, config.test_set_size,
-                            test_seed(config.base_seed, trial))
-    # asm1, asm2 and asm3 share one ASM-1 run
-    base = (run_method("asm1", scenarios, inst.program_spec, budget, cfg=cfg,
-                       seed=seed, semi=semi, time_limit=config.time_limit)
-            if any(m.startswith("asm") for m in config.methods) else None)
-    return [_trial_row(method, inst, scenarios, budget, trial, seed, test,
-                       cfg, semi, config.time_limit, base=base)[0]
-            for method in config.methods]
+    test = (config.test_set_size, test_seed(config.base_seed, trial))
+    return _trial_rows(config.methods, inst, scenarios, budget, trial, seed,
+                       cfg, semi, config.time_limit, test)[0]
 
 
 def run_experiment(config: ExperimentConfig):
@@ -187,6 +188,10 @@ def run_experiment(config: ExperimentConfig):
     budgets = {N: max_removals(N, inst.risk_spec) for N in config.n_grid}
     units = [(config, N, budgets[N], trial)
              for N in config.n_grid for trial in range(config.trials)]
+    # each worker holds one training draw; its test draw streams
+    workers, N = min(config.jobs, len(units)), max(config.n_grid)
+    check_memory(8 * workers * N * inst.n_assets,
+                 f"{workers} concurrent draws of {N} scenarios")
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             batches = list(pool.map(_trial_worker, *zip(*units)))
@@ -323,7 +328,7 @@ def _parser():
     v.add_argument("--instance", required=True)
     v.add_argument("--scenarios",
                    help="use this scenario CSV as the test set instead of sampling")
-    v.add_argument("--test-size", type=int, default=100_000)
+    v.add_argument("--test-size", type=int, default=TEST_SET_SIZE)
     v.add_argument("--beta", type=float, default=None)
 
     e = sub.add_parser("experiment", parents=[common],
@@ -332,7 +337,7 @@ def _parser():
     e.add_argument("--methods", default=",".join(METHODS))
     e.add_argument("--n-grid", default="1000,10000")
     e.add_argument("--trials", type=int, default=30)
-    e.add_argument("--test-size", type=int, default=100_000)
+    e.add_argument("--test-size", type=int, default=TEST_SET_SIZE)
     e.add_argument("--w", type=float, default=0.5)
     e.add_argument("--polish-a", type=int, default=None)
     e.add_argument("--semicontinuous", action="store_true")
@@ -345,7 +350,7 @@ def _parser():
     w.add_argument("--w-list", default="0.01,0.5,1.0")
     w.add_argument("--n-grid", default="10000")
     w.add_argument("--trials", type=int, default=30)
-    w.add_argument("--test-size", type=int, default=100_000)
+    w.add_argument("--test-size", type=int, default=TEST_SET_SIZE)
     w.add_argument("--out-dir", required=True)
     return p
 
@@ -435,9 +440,10 @@ def _cmd_solve(args):
     cfg = AsmConfig(w=args.w, polish_iterations=args.polish_a)
     semi = inst.semicontinuous if args.semicontinuous else None
     # trial 0 of the experiment protocol: its training seed is --seed
-    test = sample_scenarios(inst.model, 100_000, test_seed(args.seed, 0))
-    row, rep = _trial_row(args.method, inst, scenarios, budget, 0, args.seed,
-                          test, cfg, semi, args.time_limit, eps=args.epsilon)
+    test = (TEST_SET_SIZE, test_seed(args.seed, 0))
+    [row], [rep] = _trial_rows([args.method], inst, scenarios, budget, 0,
+                               args.seed, cfg, semi, args.time_limit, test,
+                               eps=args.epsilon)
     print(f"method={row.method} N={row.n_scenarios} k={row.k} "
           f"objective={row.objective:.6f} solves={row.lp_solves} "
           f"nodes={row.mip_nodes} train_violations={row.train_violations} "
@@ -460,7 +466,8 @@ def _cmd_validate(args):
         test = read_scenario_csv(args.scenarios)
         if test.n_assets != inst.n_assets:
             raise ConfigError("scenario file does not match the instance")
-        rate, upper = _violation_rate(x, inst, test, args.beta)
+        [(rate, upper)] = _violation_rates([x], inst, test.n_scenarios,
+                                           args.beta, [test.returns])
     else:
         rate, upper = validate_solution(x, inst, args.test_size, args.seed,
                                         beta=args.beta)

@@ -114,12 +114,21 @@ def sample_scenarios(model: GaussianModel, count: int, seed) -> ScenarioSet:
 
     Raises ConfigError, before allocating, when the draws would not fit in
     the machine's physical memory."""
+    check_memory(8 * count * model.n_assets, f"a draw of {count} scenarios")
+    rows = np.empty((model.n_assets, max(count, 0))).T
+    for _ in draw_blocks(model, count, seed, rows):
+        pass
+    return ScenarioSet(rows, provenance=f"sampled(seed={seed})")
+
+
+def draw_blocks(model: GaussianModel, count: int, seed, rows=None):
+    """The rows of ``sample_scenarios(model, count, seed)``, bit for bit, a
+    block at a time: written into ``rows``, a count x n array, or else into
+    a buffer that the next block overwrites, so nothing grows with count."""
     if count < 1:
         raise ValueError("count must be positive")
     n = model.n_assets
-    check_memory(8 * count * n, f"a draw of {count} scenarios")
     rng = np.random.default_rng(seed)
-    rows = np.empty((n, count)).T
     # Block buffers of 2,049 x n, reused by every block.  At n = 21 (344 kB)
     # one draw after another gets the same pages back: two N = 1e4 draws
     # took no minor faults, against 1,284 with 8,192-row buffers.  A lone
@@ -133,9 +142,9 @@ def sample_scenarios(model: GaussianModel, count: int, seed) -> ScenarioSet:
         b = count - i if count - i <= size else _SAMPLE_BLOCK
         rng.standard_normal(out=z[:b])
         np.matmul(z[:b], model.chol.T, out=t[:b])
-        np.add(t[:b], model.mean, out=rows[i:i + b])
+        yield np.add(t[:b], model.mean,
+                     out=t[:b] if rows is None else rows[i:i + b])
         i += b
-    return ScenarioSet(rows, provenance=f"sampled(seed={seed})")
 
 
 def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,

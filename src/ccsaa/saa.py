@@ -185,18 +185,11 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
     From 8 blocks on, helpers on a per-call thread pool claim blocks from a
     shared counter alongside the caller, one worker per core; the values
     and the violated set are the same bit for bit whoever claims a block."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (scenarios.n_assets,):
-        raise ValueError(f"x has dimension {x.shape}, expected ({scenarios.n_assets},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    r, support = scenarios.returns, np.flatnonzero(x)
-    if not 0 < support.size <= _DENSE_SHARE * x.size:
-        values = r @ x
-        return OutcomeVector(np.subtract(spec.alpha, values, out=values))
-    N = r.shape[0]
+    x, support = _checked(x, scenarios.n_assets)
+    r, N = scenarios.returns, scenarios.n_scenarios
     values = np.empty(N)
-    head, *rest = support
+    if support is None:
+        return OutcomeVector(values, _outcomes(r, x, None, spec.alpha, values))
     blocks = -(-N // _BLOCK)
     found = [None] * blocks
     # next() on a range iterator is atomic under CPython's GIL, so the
@@ -207,15 +200,8 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
         term = np.empty(min(_BLOCK, N))
         for b in claims:
             lo = b * _BLOCK
-            block = values[lo:lo + _BLOCK]
-            np.multiply(r[lo:lo + _BLOCK, head], x[head], out=block)
-            for j in rest:
-                block += np.multiply(r[lo:lo + _BLOCK, j], x[j],
-                                     out=term[:block.size])
-            np.subtract(spec.alpha, block, out=block)
-            hits = np.nonzero(block > VIOLATION_TOL)[0]
-            hits += lo
-            found[b] = hits
+            found[b] = lo + _outcomes(r[lo:lo + _BLOCK], x, support,
+                                      spec.alpha, values[lo:lo + _BLOCK], term)
 
     helpers = min(_cores(), blocks // _RUN_BLOCKS) - 1
     if helpers < 1:
@@ -227,6 +213,47 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
         for f in futures:
             f.result()      # raises a helper's exception
     return OutcomeVector(values, np.concatenate(found))
+
+
+def count_violations(xs, blocks, spec: ChanceProgramSpec) -> list:
+    """``evaluate_outcomes``' violation count of each x in ``xs`` on the rows
+    of ``blocks`` stacked, in one pass over the blocks.  Every x is checked
+    before the first block is read; a non-finite block is refused."""
+    checked = [_checked(x, spec.n_assets) for x in xs]
+    counts = [0] * len(checked)
+    for r in blocks:
+        if not np.isfinite(r).all():
+            raise ValueError("returns must be finite")
+        out, term = np.empty(len(r)), np.empty(len(r))
+        for i, (x, support) in enumerate(checked):
+            counts[i] += _outcomes(r, x, support, spec.alpha, out, term).size
+    return counts
+
+
+def _checked(x, n: int):
+    """x, refused unless finite of dimension n, and its support, or None
+    where over a third of its assets (or none) are nonzero: BLAS's product."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x has dimension {x.shape}, expected ({n},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    support = np.flatnonzero(x)
+    return x, support if 0 < support.size <= _DENSE_SHARE * n else None
+
+
+def _outcomes(r, x, support, alpha, out, term=None):
+    """alpha - r @ x into ``out``, over ``support``'s columns of r or, with
+    None, by BLAS's product; the positions of its violations."""
+    if support is None:
+        np.matmul(r, x, out=out)
+    else:
+        head, *rest = support
+        np.multiply(r[:, head], x[head], out=out)
+        for j in rest:
+            out += np.multiply(r[:, j], x[j], out=term[:out.size])
+    np.subtract(alpha, out, out=out)
+    return np.nonzero(out > VIOLATION_TOL)[0]
 
 
 def certify(x: np.ndarray, scenarios: ScenarioSet, budget: ScenarioBudget,

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import time
 import tracemalloc
 import warnings
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from ccsaa import cli, heuristics, saa
-from ccsaa.certificate import max_removals
+from ccsaa.certificate import binomial_upper_limit, max_removals
 from ccsaa.cli import (ExperimentConfig, RAW_COLUMNS, aggregate, main,
                        run_experiment, sweep_w, validate_solution)
-from ccsaa.data import Instance, write_instance
+from ccsaa.data import Instance, default_instance, write_instance
 from ccsaa.errors import ConfigError
 from ccsaa.gaussian import GaussianModel, sample_scenarios
 from ccsaa.heuristics import run_method
@@ -68,6 +69,49 @@ class TestValidate:
         x[0] = bad
         with pytest.raises(ConfigError, match="finite"):
             validate_solution(x, small_instance(), 100, seed=0)
+
+    @pytest.mark.parametrize("x", [np.ones(2), np.array([np.nan, 0, 0, 1])])
+    def test_solution_refused_before_the_draw(self, x):
+        # a test draw of 1e12 rows would take hours: x is checked first
+        with pytest.raises(ConfigError, match="validation refused"):
+            validate_solution(x, small_instance(), 10**12, seed=0)
+
+    @pytest.mark.parametrize("size", [1, 2, 2048, 2049, 2050, 4097, 100_000])
+    def test_streamed_counts_equal_the_materialised_draw(self, size):
+        inst = default_instance()
+        rng = np.random.default_rng(size)
+        xs = []
+        for nonzero in (1, 2, 3, 9, 21):
+            x = np.zeros(inst.n_assets)
+            x[rng.choice(inst.n_assets, nonzero, replace=False)] = (
+                rng.dirichlet(np.ones(nonzero)))
+            xs.append(x)
+        for seed in (5, 500_017):
+            test = sample_scenarios(inst.model, size, seed)
+            want = []
+            for x in xs:
+                count = evaluate_outcomes(x, test,
+                                          inst.program_spec).violation_count
+                want.append((count / size, binomial_upper_limit(
+                    count, size, 1.0 - inst.beta)))
+            # every x in one pass over the draw, as a campaign's trial counts
+            assert cli._violation_rates(xs, inst, size, None, cli.draw_blocks(
+                inst.model, size, seed)) == want
+            assert [validate_solution(x, inst, size, seed)
+                    for x in xs] == want
+
+    def test_streamed_draw_holds_blocks_not_the_test_set(self):
+        # the 200,000 x 21 draw alone would take 33.6 MB
+        inst = default_instance()
+        x = np.zeros(inst.n_assets)
+        x[[0, 3]] = 0.5
+        tracemalloc.start()
+        try:
+            validate_solution(x, inst, 200_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRunExperiment:
@@ -162,9 +206,9 @@ class TestRunExperiment:
         sc = sample_scenarios(inst.model, 400, 17)
         budget = max_removals(400, inst.risk_spec)
         assert budget.k_removals == 7
-        test = sample_scenarios(inst.model, 1000, cli.test_seed(17, 0))
-        row, rep = cli._trial_row("socp", inst, sc, budget, 0, 17, test, None,
-                                  None, None)
+        [row], [rep] = cli._trial_rows(["socp"], inst, sc, budget, 0, 17,
+                                       None, None, None,
+                                       (1000, cli.test_seed(17, 0)))
         violations = evaluate_outcomes(rep.x, sc, inst.program_spec).violation_count
         assert row.train_violations == rep.train_violations == violations == 6
 
@@ -174,18 +218,25 @@ class TestRunExperiment:
                                   methods=["asm1", "rap", "fgrp"],
                                   n_grid=[150], trials=2, base_seed=19,
                                   test_set_size=3000)
-        draws = []
-        sample = cli.sample_scenarios
+        draws, streamed = [], []
+        sample, stream = cli.sample_scenarios, cli.draw_blocks
 
         def counted(model, n, seed):
             draws.append((n, seed))
             return sample(model, n, seed)
 
+        def counted_stream(model, n, seed):
+            streamed.append((n, seed))
+            return stream(model, n, seed)
+
         monkeypatch.setattr(cli, "sample_scenarios", counted)
+        monkeypatch.setattr(cli, "draw_blocks", counted_stream)
         rows, _ = run_experiment(config)
-        assert sorted(draws) == sorted(
-            [(150, cli.scenario_seed(19, t)) for t in range(2)]
-            + [(3000, cli.test_seed(19, t)) for t in range(2)])
+        # training sets are held whole; each trial's test draw streams once
+        assert sorted(draws) == [(150, cli.scenario_seed(19, t))
+                                 for t in range(2)]
+        assert sorted(streamed) == [(3000, cli.test_seed(19, t))
+                                    for t in range(2)]
         monkeypatch.undo()
         budget = max_removals(150, inst.risk_spec)
         for r in rows:
@@ -234,13 +285,12 @@ class TestRunExperiment:
         for trial in range(config.trials):
             seed = cli.scenario_seed(23, trial)
             sc = sample_scenarios(inst.model, 300, seed)
-            test = sample_scenarios(inst.model, 2000, cli.test_seed(23, trial))
             got = {r.method: r for r in rows if r.trial == trial}
             for method in config.methods:
                 # each tag running its own ASM-1, as before the runs were shared
-                want, rep = cli._trial_row(method, inst, sc, budget, trial,
-                                           seed, test, cfg, None,
-                                           config.time_limit)
+                [want], [rep] = cli._trial_rows(
+                    [method], inst, sc, budget, trial, seed, cfg, None,
+                    config.time_limit, (2000, cli.test_seed(23, trial)))
                 assert rep.lp_solves > got["asm1"].lp_solves or method == "asm1"
                 for column in RAW_COLUMNS:
                     if column != "wall_time":
@@ -262,6 +312,33 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             ExperimentConfig(instance=inst, methods=["full"], n_grid=[10],
                              trials=0)
+
+    @pytest.mark.parametrize("field", ["jobs", "test_set_size"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_jobs_and_test_size_below_one_refused(self, monkeypatch, field,
+                                                  value):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled under an invalid configuration")
+
+        monkeypatch.setattr(cli, "sample_scenarios", never)
+        monkeypatch.setattr(cli, "draw_blocks", never)
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            ExperimentConfig(instance=small_instance(), methods=["full"],
+                             n_grid=[100], **{field: value})
+
+    def test_concurrent_draws_larger_than_memory_refused(self, monkeypatch):
+        # two workers at N = 1e5 and n = 4 hold 6.4 MB of training draws:
+        # refused, before any draw, when the machine has 4 MB
+        def never(*args, **kwargs):
+            raise AssertionError("sampled a draw that cannot fit")
+
+        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        config = ExperimentConfig(instance=small_instance(), methods=["full"],
+                                  n_grid=[100, 100_000], trials=2, jobs=2)
+        monkeypatch.setattr(cli, "sample_scenarios", never)
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match="2 concurrent draws"):
+            run_experiment(config)
 
 
 class TestGoldenCampaign:
@@ -680,14 +757,12 @@ class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["sample", "--n-scenarios", "100000000000", "--out", "out"],
         ["solve", "--method", "asm1", "--n-scenarios", "100000000000",
-         "--out", "out"],
-        ["validate", "--test-size", "100000000000", "--report", "r.json"]])
+         "--out", "out"]])
     def test_draw_larger_than_memory_exit_code(self, tmp_path, capsys,
                                                monkeypatch, argv):
         # refused before the draw is allocated, and before any file is written
         monkeypatch.chdir(tmp_path)
         write_instance("inst.json", small_instance(seed=9))
-        Path("r.json").write_text("[0, 0, 0, 1]\n")
         assert main(argv + ["--instance", "inst.json"]) == 2
         assert "physical memory" in capsys.readouterr().err
         assert not Path("out").exists()

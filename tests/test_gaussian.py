@@ -5,8 +5,9 @@ import pytest
 
 from ccsaa._normal import norm_cdf
 from ccsaa.errors import ConfigError, InfeasibleModel, NotPositiveSemidefinite
-from ccsaa.gaussian import (GaussianModel, cholesky, inv_norm_cdf,
-                            sample_scenarios, solve_gaussian_exact)
+from ccsaa.gaussian import (GaussianModel, cholesky, draw_blocks,
+                            inv_norm_cdf, sample_scenarios,
+                            solve_gaussian_exact)
 from ccsaa.mip import SemiContinuousSpec
 
 from oracles import normal_quantile_bisect
@@ -108,6 +109,25 @@ class TestSampling:
         assert r.flags.f_contiguous and not r.flags.writeable
         assert r.shape == (count, 4)
         assert r.tobytes(order="C") == want.tobytes(order="C")
+
+    @pytest.mark.parametrize("count", [1, 2, 2048, 2049, 2050, 4097, 8193])
+    def test_streamed_blocks_are_the_draw(self, count):
+        # the blocks a test draw streams through are the sampled rows, bit
+        # for bit, in blocks of at most 2,049 rows
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(4, 4)) * 0.1
+        m = GaussianModel([1.1, 1.05, 1.02, 1.0], A @ A.T)
+        blocks = [b.copy() for b in draw_blocks(m, count, seed=21)]
+        assert max(len(b) for b in blocks) <= 2049
+        streamed = np.concatenate(blocks)
+        assert streamed.tobytes() == sample_scenarios(
+            m, count, seed=21).returns.tobytes(order="C")
+
+    def test_streamed_draw_is_not_refused_for_memory(self):
+        # nothing a streamed draw allocates grows with its size
+        m = GaussianModel([1.1, 1.05, 1.02, 1.0], np.eye(4) * 0.01)
+        block = next(draw_blocks(m, 10**12, seed=1))
+        assert block.shape == (2048, 4)
 
     def test_peak_memory_is_the_returned_array(self):
         # draws stream into the one output array through small block buffers

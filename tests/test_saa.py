@@ -170,6 +170,31 @@ class TestOutcomes:
             evaluate_outcomes(np.array([bad, others, others]), sc, spec)
 
 
+class TestCountViolations:
+    """One pass over row blocks counts what evaluate_outcomes counts on the
+    rows stacked, for every x at once."""
+
+    def test_counts_equal_the_stacked_evaluation(self):
+        rng = np.random.default_rng(31)
+        returns = rng.normal(1.0, 0.1, size=(5_000, 7))
+        spec = ChanceProgramSpec(1.0, np.ones(7))
+        xs = [np.eye(7)[2], np.full(7, 1 / 7), np.zeros(7),
+              np.array([0.5, 0, 0, 0.5, 0, 0, 0])]
+        blocks = [returns[:1], returns[1:2049], returns[2049:]]
+        want = [evaluate_outcomes(x, ScenarioSet(returns), spec).violation_count
+                for x in xs]
+        assert saa.count_violations(xs, iter(blocks), spec) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_is_refused(self, bad):
+        block = np.ones((3, 2))
+        block[1, 0] = bad
+        spec = ChanceProgramSpec(0.9, [1.0, 1.0])
+        with pytest.raises(ValueError, match="returns must be finite"):
+            saa.count_violations([np.array([0.5, 0.5])], [np.ones((2, 2)), block],
+                                 spec)
+
+
 class TestCertify:
     def test_huge_allowance(self):
         rng = np.random.default_rng(7)
@@ -316,11 +341,13 @@ def blockless_reference(x, returns, alpha):
 
 class WatchedReturns(np.ndarray):
     """Scenario returns that call ``self.watch(block)`` on the thread that
-    reads a block's rows, each time it reads them."""
+    reads a block's rows, each time it reads them (``r[rows]`` or
+    ``r[rows, column]``)."""
 
     def __getitem__(self, key):
-        if isinstance(key, tuple) and isinstance(key[0], slice):
-            self.watch(key[0].start // saa._BLOCK)
+        rows = key[0] if isinstance(key, tuple) else key
+        if isinstance(rows, slice):
+            self.watch(rows.start // saa._BLOCK)
         return super().__getitem__(key).view(np.ndarray)
 
 
