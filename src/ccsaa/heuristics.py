@@ -15,8 +15,8 @@ _insert starts empty and enforces one scenario per round until certified:
 _polish removes the working-set rows of an ASM-1 run one at a time:
   polish_resolve      sweeps the working set (ASM-2)
   polish_dual         takes the row with the largest |dual| (ASM-3)
-Trial removals share one move, ``_Master.best_removal``.  ``run_method``
-dispatches these tags and ``exact-mip`` (``mip.exact_mip``).
+Trial removals share one move that rolls back, ``_Master.best_removal``.
+``run_method`` dispatches these tags and ``exact-mip`` (``mip.exact_mip``).
 
 Every method returns a SolveReport whose solution violates at most k
 training scenarios, unless it stopped at its time limit (status
@@ -202,10 +202,13 @@ class _Master:
         keep removed the best trial whose objective beats ``floor`` by more
         than 1e-12 and whose outcomes ``admissible`` accepts (returns other
         than None; asked only past that bar), or the first such when ``first``.
-        The master is left at that trial's solution, or at its entry one,
-        without another solve: (scenario, objective, verdict) or None."""
-        kept, state = None, (self._sol, self.outcomes)
+        Re-keeping rolls the trial back: the scenario has its old row or none,
+        and the master is as before the trial but for rows it generated.
+        The master is left at the kept trial's solution, or at its entry
+        one, without another solve: (scenario, objective, verdict) or None."""
+        kept, entry = None, (self._sol, self.outcomes, self._edited)
         for i in order:
+            mark, row = self.model.checkpoint(), self.row_of[i]
             self.remove(i)
             _, obj = self.solve()
             if obj > floor + 1e-12:
@@ -214,13 +217,15 @@ class _Master:
                     kept, floor = (i, obj, verdict), obj
                     if first:
                         return kept
-                    state = (self._sol, self.outcomes)
-            # re-adding the row invalidates this trial's point; the next
-            # solve repairs it warmly
-            self.add(i)
+                    best = (self._sol, self.outcomes)
+            # re-keep i as before the trial; the rows it generated stay
+            self.model.rollback(mark)
+            self.kept[i], self.row_of[i] = True, row
+            self._rowless += row < 0
+            self._sol, self.outcomes, self._edited = entry
         if kept is not None:
             self.remove(kept[0])
-        self._sol, self.outcomes = state
+            self._sol, self.outcomes = best
         return kept
 
     # -- state at the last solution --------------------------------------

@@ -4,15 +4,16 @@ Purpose-built for scenario programs: many inequality rows over a small block
 of structural columns.  Any basis of such a program contains at most n
 structural columns, so the active factorization -- the "kernel" of tight rows
 against basic columns -- never exceeds n x n, and search directions and duals
-are dense solves against it.  The tight rows ``A[S]`` are taken once per
-change of S: pricing, the dual's pivot row, the kernel and the re-derivation
-of x all read that take.  The row slacks ``rhs - A x`` are cached and read
-only the columns where x is nonzero when those are few (``support_product``);
-the cache lives until x moves, an added row appends its own slacks, and a
-released row with a basic slack changes no other, so single-row edits (the
-dominant workload of discard heuristics) stay nearly free.  Callers keep
-models small: the heuristics' masters hold only the scenario rows that bind
-or were violated (``heuristics._Master``).
+are dense solves against it, by LAPACK's ``dgesv`` called directly.  The
+tight rows ``A[S]`` are taken once per change of S: pricing, the dual's pivot
+row, the kernel and the re-derivation of x all read that take.  The row
+slacks ``rhs - A x`` are cached and read only the columns where x is nonzero
+when those are few (``support_product``); the cache lives until x moves, an
+added row appends its own slacks, and a released row with a basic slack
+changes no other, so single-row edits (the dominant workload of discard
+heuristics) stay nearly free, and ``LpModel.rollback`` undoes a trial edit
+with no pivot.  Callers keep models small: the heuristics' masters hold only
+the scenario rows that bind or were violated (``heuristics._Master``).
 
 Conventions: problems MAXIMIZE ``objective . x`` subject to column bounds and
 rows ``a . x (<=|>=|=) b``.  Row duals are shadow prices dObj/dRHS, so
@@ -31,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalFailure
 
@@ -162,7 +164,8 @@ class LpModel:
     """Mutable LP over a fixed column block and an editable set of rows.
 
     A row's id is its only identity: assigned on ``add_row``/``add_rows``,
-    never reused, and unaffected by the removal of other rows.
+    never given to another row (one that ``rollback`` revives keeps its
+    own), and unaffected by the removal of other rows.
     """
 
     def __init__(self, objective, lower=None, upper=None):
@@ -248,6 +251,24 @@ class LpModel:
         if self._engine is not None:
             self._engine.detach_row(row_id)
         self._alive[row_id] = False
+
+    def checkpoint(self):
+        """A mark for ``rollback``: alive rows, engine statuses, S, T and x."""
+        ns, e = self._n_slots, self._engine
+        return ns, self._alive[:ns].copy(), e, e and (
+            e.valid, e.cs.copy(), e.ss[:ns].copy(), list(e.S), list(e.T), e.x.copy())
+
+    def rollback(self, mark) -> None:
+        """Return to ``mark`` (a mark serves one rollback): each row removed
+        since is alive again, in its own slot under its own id, and the
+        engine's state is the mark's; rows added since stay, basic."""
+        ns, alive, e, state = mark
+        self._alive[:ns] = alive
+        self._engine = e
+        if e is not None:
+            e.valid, e.cs, ss, e.S, e.T, e.x = state
+            e._sync_slack_capacity()
+            e.ss[:ns], e.ss[ns:], e._s = ss, BASIC, None
 
     def add_columns(self, objective, lower, upper) -> list:
         """Append structural columns (zero coefficients in existing rows)."""
@@ -419,7 +440,7 @@ class _Engine:
                           else ((1.0,) if d > 0 else (-1.0,))):
                 if self._primal_step(self.m.n_cols + slot, sigma):
                     return
-        except (_KernelSingular, np.linalg.LinAlgError):
+        except _KernelSingular:
             pass
         self.valid = False
         self.m.stats.detach_failures += 1
@@ -454,10 +475,10 @@ class _Engine:
         if not self.T:
             return np.zeros(0)
         K = self._tight_rows()[:, self.T]
-        try:
-            return np.linalg.solve(K.T if transpose else K, rhs)
-        except np.linalg.LinAlgError:
-            raise _KernelSingular from None
+        *_, y, info = dgesv(K.T if transpose else K, rhs)
+        if info:    # an exactly zero pivot: singular
+            raise _KernelSingular
+        return y
 
     def _duals_kernel(self, c):
         if c is not self.m.obj:

@@ -218,15 +218,18 @@ def evaluate_outcomes(x: np.ndarray, scenarios: ScenarioSet,
 def count_violations(xs, blocks, spec: ChanceProgramSpec) -> list:
     """``evaluate_outcomes``' violation count of each x in ``xs`` on the rows
     of ``blocks`` stacked, in one pass over the blocks.  Every x is checked
-    before the first block is read; a non-finite block is refused."""
+    before the first block is read; a non-finite block is refused.  Blocks
+    are read in slices of _BLOCK rows, each checked by its min and max."""
     checked = [_checked(x, spec.n_assets) for x in xs]
     counts = [0] * len(checked)
-    for r in blocks:
-        if not np.isfinite(r).all():
-            raise ValueError("returns must be finite")
-        out, term = np.empty(len(r)), np.empty(len(r))
-        for i, (x, support) in enumerate(checked):
-            counts[i] += _outcomes(r, x, support, spec.alpha, out, term).size
+    for block in blocks:
+        out, term = np.empty((2, min(len(block), _BLOCK)))
+        for lo in range(0, len(block), _BLOCK):
+            r = block[lo:lo + _BLOCK]
+            if not (np.isfinite(r.min()) and np.isfinite(r.max())):
+                raise ValueError("returns must be finite")
+            for i, (x, support) in enumerate(checked):
+                counts[i] += _outcomes(r, x, support, spec.alpha, out[:len(r)], term).size
     return counts
 
 

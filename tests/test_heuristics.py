@@ -973,3 +973,104 @@ class TestWallTime:
             # a generation loop is one master solve of one or more LP solves
             assert len(masters) == rep.lp_solves <= len(spent), name
             assert sum(spent) <= rep.wall_time <= elapsed, name
+
+
+class TestTrialRollback:
+    """A trial removal that is not kept rolls back: the scenario is kept
+    again in its own row (or without one) and the master's state is the
+    one before the trial, but for rows the trial generated."""
+
+    N, SEED = 2000, 11
+
+    def draw(self):
+        inst = default_instance()
+        return (sample_scenarios(inst.model, self.N, self.SEED),
+                inst.program_spec, inst.semicontinuous,
+                max_removals(self.N, inst.risk_spec))
+
+    def trials(self, master, rowless, generated):
+        """Reject a trial of each binding scenario with (or without) a row,
+        one at a time: (trials that generated no row, trials that did)."""
+        counts = [0, 0]
+        order = [i for i in master.binding() if (master.row_of[i] < 0) == rowless]
+        for i in order:
+            generated.clear()
+            kept, row_of = master.kept.copy(), master.row_of.copy()
+            rows, rowless_count = set(master.model.row_ids()), master._rowless
+            entry, solves, nodes = master._sol, master.solves, master.mip_nodes
+            assert master.best_removal([i], lambda out: None) is None
+            assert master.solves == solves + 1 and master._sol is entry
+            assert np.array_equal(master.kept, kept)
+            assert master._rowless == rowless_count - len(generated)
+            changed = np.flatnonzero(master.row_of != row_of)
+            assert changed.tolist() == sorted(generated)
+            assert set(master.model.row_ids()) == rows | set(
+                master.row_of[generated].tolist())
+            if rowless:     # the integer master makes no search
+                assert master.row_of[i] < 0 and master.mip_nodes == nodes
+            counts[bool(generated)] += 1
+        return counts
+
+    def watch_rows(self, monkeypatch):
+        generated = []
+        give = _Master._give_row
+        monkeypatch.setattr(_Master, "_give_row",
+                            lambda m, i: generated.append(i) or give(m, i))
+        return generated
+
+    def test_lp_master_rows_come_back(self, monkeypatch):
+        # the trials of every round of grp, each rejected before the round
+        sc, spec, _, budget = self.draw()
+        generated = self.watch_rows(monkeypatch)
+        master, counts = _Master(sc, spec, range(self.N)), np.zeros(2, int)
+        master.solve()
+        for _ in range(budget.k_removals):
+            counts += self.trials(master, False, generated)
+            master.best_removal(master.removal_candidates())
+        assert counts[0] >= 20 and counts[1] >= 1
+
+    def test_banded_master_rowless_trials_make_no_search(self, monkeypatch):
+        sc, spec, band, _ = self.draw()
+        generated = self.watch_rows(monkeypatch)
+        master = _Master(sc, spec, range(self.N), semi=band)
+        master.solve()
+        assert self.trials(master, True, generated) == [90, 0]
+
+    def test_each_trial_starts_at_the_entry_solution(self):
+        # a rowless trial after a row trial: nothing to solve, so its
+        # objective is the entry one, not the row trial's
+        sc, spec, _, _ = self.draw()
+        master = _Master(sc, spec, range(self.N))
+        _, entry = master.solve()
+        row = master.binding()[0]
+        rowless = int(np.flatnonzero(master.row_of < 0)[0])
+        seen = []
+        assert master.best_removal(
+            [row, rowless, row],
+            lambda out: seen.append(master._sol.objective_value)) is None
+        assert seen[0] > entry + 1e-9 and seen == [seen[0], entry, seen[0]]
+
+    def test_no_trial_adds_a_slot(self, monkeypatch):
+        sc, spec, _, budget = self.draw()
+        generated, masters = [], []
+        add_row, report = heuristics.saa.add_scenario_row, _Master.report
+        monkeypatch.setattr(heuristics.saa, "add_scenario_row",
+                            lambda *a: generated.append(a[3]) or add_row(*a))
+        monkeypatch.setattr(_Master, "report",
+                            lambda m, *a, **k: masters.append(m) or report(m, *a, **k))
+        rep = greedy_removal(sc, spec, budget)
+        assert rep.lp_solves == TestGoldenDraw.GOLDEN["grp"][1]
+        # each scenario is given a row once, and only generation gives one
+        assert len(set(generated)) == len(generated)
+        assert masters[0].model._n_slots <= 1 + len(generated)
+
+    def test_no_numpy_solve_on_the_removal_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        sc, spec, _, budget = self.draw()
+        rep = greedy_removal(sc, spec, budget)
+        obj, solves, violations, _ = TestGoldenDraw.GOLDEN["grp"]
+        assert (repr(rep.objective), rep.lp_solves,
+                rep.train_violations) == (obj, solves, violations)

@@ -1050,3 +1050,124 @@ class TestKeptState:
                 if sol.status == lp.OPTIMAL:
                     bases.append(sol.basis)
         assert seen["checked"] > 200 and seen["kept"] > 100
+
+
+def engine_state(m):
+    eng = m._engine
+    ns = m._n_slots
+    return (eng.cs.tobytes(), eng.ss[:ns].tobytes(), list(eng.S), list(eng.T),
+            eng.x.tobytes())
+
+
+class TestRollback:
+    """``rollback`` revives the rows removed since its ``checkpoint`` under
+    their own ids and restores the engine's statuses, S, T and x."""
+
+    def test_state_comes_back_bit_for_bit(self):
+        revived = 0
+        for seed in range(8):
+            rng = np.random.default_rng(110 + seed)
+            m, _ = scenario_lp(rng, 40)
+            extra = 1.0 + rng.normal(0.04, 0.15, size=(6, 4))
+            extra[:, -1] = 1.0
+            sol = lp_solve(m)
+            ids = m.row_ids()[1:]
+            tight = ids[np.abs(sol.slacks_for(ids)) <= 1e-9]
+            rid = int(rng.choice(tight))
+            row, before = m.row(rid), engine_state(m)
+            mark = m.checkpoint()
+            m.remove_row(rid)
+            lp_solve(m)
+            added = m.add_rows(extra, ">=", np.full(6, 0.95))
+            lp_solve(m)
+            m.rollback(mark)
+            eng = m._engine
+            assert engine_state(m)[2:] == before[2:]
+            assert eng.cs.tobytes() == before[0]
+            assert eng.ss[:mark[0]].tobytes() == before[1]
+            assert eng.valid
+            # the revived row keeps its id, and rows added since stay basic
+            a, rel, b = m.row(rid)
+            assert a.tobytes() == row[0].tobytes() and (rel, b) == row[1:]
+            assert added[0] >= mark[0]
+            assert np.all(eng.ss[added] == lp.BASIC)
+            assert set(m.row_ids()) == set(ids) | {0} | set(added)
+            check_kept_state(m, Counter())
+            # without the added rows the marked point is optimal as it was
+            for a in added:
+                m.remove_row(int(a))
+            pivots = m.stats.pivots
+            again = lp_solve(m)
+            assert again.x.tobytes() == sol.x.tobytes()
+            assert m.stats.pivots == pivots
+            revived += 1
+        assert revived == 8
+
+    def test_rollback_after_a_failed_release(self):
+        m = LpModel([1.0])
+        rid = m.add_row([1.0], "<=", 1.0)
+        lp_solve(m)
+        mark = m.checkpoint()
+        m.remove_row(rid)
+        assert m.stats.detach_failures == 1 and not m._engine.valid
+        m.rollback(mark)
+        assert m._engine.valid and m.row_ids().tolist() == [rid]
+        sol = lp_solve(m)
+        assert sol.status == lp.OPTIMAL and sol.iterations == 0
+        assert sol.objective_value == 1.0 and m.stats.cold_resets == 0
+
+    def test_mark_without_an_engine(self):
+        m = LpModel([1.0, 2.0], upper=[1.0, 1.0])
+        rid = m.add_row([1.0, 1.0], "<=", 1.5)
+        mark = m.checkpoint()
+        m.remove_row(rid)
+        lp_solve(m)
+        m.rollback(mark)
+        assert m._engine is None
+        assert lp_solve(m).objective_value == pytest.approx(2.5, abs=1e-12)
+
+
+class TestKernelSolve:
+    """Kernel solves call LAPACK's dgesv directly."""
+
+    def kernel_engine(self, rng, k, n=7):
+        m = LpModel(np.ones(n))
+        m.add_rows(rng.normal(size=(k + 2, n)), "<=", np.ones(k + 2))
+        eng = lp._Engine(m)
+        eng.S = sorted(rng.choice(k + 2, k, replace=False).tolist())
+        eng.T = rng.choice(n, k, replace=False).tolist()
+        return eng, m._A[eng.S][:, eng.T]
+
+    def test_equals_numpy_solve_bit_for_bit(self):
+        rng = np.random.default_rng(120)
+        for k in range(1, 6):
+            for _ in range(200):
+                eng, K = self.kernel_engine(rng, k)
+                b = rng.normal(size=k)
+                assert eng._ksolve(b).tobytes() == np.linalg.solve(K, b).tobytes()
+                assert eng._ksolve(b, transpose=True).tobytes() == \
+                    np.linalg.solve(K.T, b).tobytes()
+
+    def test_exactly_singular_kernel_raises(self):
+        eng, _ = self.kernel_engine(np.random.default_rng(121), 3)
+        # a repeated tight row: elimination reaches an exactly zero pivot
+        eng.m._A[eng.S[2]] = eng.m._A[eng.S[0]]
+        for transpose in (False, True):
+            with pytest.raises(lp._KernelSingular):
+                eng._ksolve(np.ones(3), transpose=transpose)
+
+    def test_singular_warm_kernel_cold_resets(self):
+        # three tight rows, the last the sum of the others, against three
+        # basic columns
+        m = LpModel([1.0, 1.0, 1.0], upper=[1.0, 1.0, 1.0])
+        m.add_row([1.0, 0.0, 1.0], "<=", 1.5)
+        m.add_row([0.0, 1.0, 1.0], "<=", 1.5)
+        m.add_row([1.0, 1.0, 2.0], "<=", 3.0)   # the sum of the first two
+        basis = lp.Basis(np.full(3, lp.BASIC, dtype=np.int8), np.arange(3),
+                         np.full(3, lp.AT_LOWER, dtype=np.int8))
+        sol = lp_solve(m, warm=basis)
+        highs = linprog(-np.ones(3), A_ub=m._A[:3], b_ub=m._rhs[:3],
+                        bounds=(0, 1), method="highs")
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(-highs.fun, abs=1e-9)
+        assert m.stats.cold_resets == 1

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,28 @@ class TestCountViolations:
         with pytest.raises(ValueError, match="returns must be finite"):
             saa.count_violations([np.array([0.5, 0.5])], [np.ones((2, 2)), block],
                                  spec)
+
+    def test_large_block_is_read_in_slices(self):
+        # a scenario file's one block: counts as over the whole block, a
+        # non-finite value in a later slice refused, and no N x n temporary
+        rng = np.random.default_rng(32)
+        returns = np.asfortranarray(rng.normal(1.0, 0.05, (200_000, 21)))
+        spec = ChanceProgramSpec(0.95, np.ones(21))
+        xs = [np.full(21, 1 / 21), np.eye(21)[3]]
+        want = [evaluate_outcomes(x, ScenarioSet(returns), spec).violation_count
+                for x in xs]
+        for x, count in zip(xs, want):
+            tracemalloc.start()
+            try:
+                assert saa.count_violations([x], [returns], spec) == [count]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        bad = returns.copy(order="F")
+        bad[150_000, 20] = np.nan
+        with pytest.raises(ValueError, match="returns must be finite"):
+            saa.count_violations(xs, [bad], spec)
 
 
 class TestCertify:
