@@ -18,6 +18,7 @@ series) so N up to 1e6 is routine.
 """
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,12 @@ def _log_binom(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
+def _log_terms(N: int, eps: float, upper: int) -> np.ndarray:
+    """log of C(N,j) eps^j (1-eps)^(N-j) for j = 0..upper."""
+    j = np.arange(upper + 1, dtype=float)
+    return _log_binom(float(N), j) + j * np.log(eps) + (N - j) * np.log1p(-eps)
+
+
 def cg_log_beta(n_scenarios: int, k_removals: int, spec: RiskSpec,
                 sum_limit: str = "campi") -> float:
     """log10 of the certificate bound for (N, k) under ``spec``.
@@ -87,9 +94,7 @@ def cg_log_beta(n_scenarios: int, k_removals: int, spec: RiskSpec,
         raise ValueError(f"sum_limit must be one of {SUM_LIMITS}")
     upper = k + n - 1 if sum_limit == "campi" else k + n + 1
     upper = min(upper, N)
-    eps = spec.epsilon
-    j = np.arange(0, upper + 1)
-    terms = _log_binom(float(N), j.astype(float)) + j * np.log(eps) + (N - j) * np.log1p(-eps)
+    terms = _log_terms(N, spec.epsilon, upper)
     peak = terms.max()
     log_series = peak + np.log(np.exp(terms - peak).sum())
     log_total = _log_binom(float(k + n - 1), float(k)) + log_series
@@ -100,30 +105,48 @@ def cg_log_beta(n_scenarios: int, k_removals: int, spec: RiskSpec,
 def max_removals(n_scenarios: int, spec: RiskSpec, sum_limit: str = "campi") -> ScenarioBudget:
     """Largest k whose certificate stays within spec.beta, as a budget.
 
-    The bound is monotone increasing in k, so an exponential growth phase
-    followed by binary search needs only O(log N) bound evaluations.
+    One vectorised pass proposes k (``_propose``); exact bound evaluations
+    at k and k+1 confirm it.  An unconfirmed proposal falls back to an
+    exponential growth phase and a binary search, which rely on the bound
+    rising with k and take O(log N) exact evaluations.
 
     Raises NoFeasibleBudget when even k=0 exceeds beta.
     """
     N = int(n_scenarios)
     target = np.log10(spec.beta)
+    bound = functools.cache(lambda k: cg_log_beta(N, k, spec, sum_limit))
 
     def ok(k):
-        return cg_log_beta(N, k, spec, sum_limit) <= target
+        return bound(k) <= target
 
     if not ok(0):
         raise NoFeasibleBudget(
             f"k=0 already exceeds beta={spec.beta} at N={N} "
-            f"(log10 bound {cg_log_beta(N, 0, spec, sum_limit):.3f})")
-    hi = 1
-    while hi < N and ok(min(hi, N - 1)):
-        hi *= 2
-    hi = min(hi, N - 1)
-    lo = hi // 2 if hi > 1 else 0
-    # ok(lo) holds: the largest feasible k precedes the first infeasible one
-    k = bisect.bisect_left(range(hi + 1), True, lo=lo + 1,
-                           key=lambda j: not ok(j)) - 1
-    return ScenarioBudget(N, k, float(10.0 ** cg_log_beta(N, k, spec, sum_limit)))
+            f"(log10 bound {bound(0):.3f})")
+    k = _propose(N, spec, sum_limit, target)
+    if not (0 <= k < N and ok(k) and (k + 1 == N or not ok(k + 1))):
+        hi = 1
+        while hi < N and ok(min(hi, N - 1)):
+            hi *= 2
+        hi = min(hi, N - 1)
+        lo = hi // 2 if hi > 1 else 0
+        # ok(lo) holds: the largest feasible k precedes the first infeasible one
+        k = bisect.bisect_left(range(hi + 1), True, lo=lo + 1,
+                               key=lambda j: not ok(j)) - 1
+    return ScenarioBudget(N, k, float(10.0 ** bound(k)))
+
+
+def _propose(N: int, spec: RiskSpec, sum_limit: str, target: float) -> int:
+    """The last k whose bound, from one cumulative log-sum-exp of the series
+    terms, is within 10**target.  The series runs to ceil(N*eps)+1+n, the
+    limit J at any k up to N*eps, beyond which the bound exceeds 1/2."""
+    n = spec.n_dims
+    top = min(N, int(np.ceil(N * spec.epsilon)) + 1 + n)
+    series = np.logaddexp.accumulate(_log_terms(N, spec.epsilon, top))
+    shift = n - 1 if sum_limit == "campi" else n + 1
+    k = np.arange(N if top == N else min(N, top - shift + 1), dtype=float)
+    log_total = _log_binom(k + n - 1, k) + series[np.minimum(k + shift, N).astype(int)]
+    return int(np.count_nonzero(np.minimum(log_total, 0.0) * LOG10_E <= target)) - 1
 
 
 def binomial_upper_limit(violations: int, trials: int, confidence: float) -> float:

@@ -20,11 +20,13 @@ With a semi-continuous band the master becomes the indicator MIP and every
 node honours the accumulated cuts.
 """
 
+import queue
+import threading
 import time
 
 import numpy as np
 
-from . import lp
+from . import lp, saa
 from ._normal import inv_norm_cdf, norm_cdf  # noqa: F401  (re-exported surface)
 from .errors import (InfeasibleModel, NotPositiveSemidefinite, NumericalFailure,
                      check_memory)
@@ -35,6 +37,9 @@ from .saa import ScenarioSet
 _CUT_TOL = 1e-8
 _MAX_CUTS = 1000
 _SAMPLE_BLOCK = 2048            # rows per block when sampling scenarios
+_PIPE_BLOCKS = 8                # draws of this many blocks draw on a helper
+_RING = 3                       # normals buffers the helper fills ahead
+_BLAS_SERIAL = 1 << 18          # OpenBLAS threads a dgemm beyond m*n*k = 2^18
 _CHOL_TOL = 1e-12               # pivots below this share of the scale are zero
 
 
@@ -124,7 +129,11 @@ def sample_scenarios(model: GaussianModel, count: int, seed) -> ScenarioSet:
 def draw_blocks(model: GaussianModel, count: int, seed, rows=None):
     """The rows of ``sample_scenarios(model, count, seed)``, bit for bit, a
     block at a time: written into ``rows``, a count x n array, or else into
-    a buffer that the next block overwrites, so nothing grows with count."""
+    a buffer that the next block overwrites, so nothing grows with count.
+
+    From 8 blocks on, where the process may use two cores, a helper thread
+    draws the next blocks' normals (``_drawn_ahead``) while the caller
+    transforms and stores, or counts, the block before."""
     if count < 1:
         raise ValueError("count must be positive")
     n = model.n_assets
@@ -136,15 +145,62 @@ def draw_blocks(model: GaussianModel, count: int, seed, rows=None):
     # product with its vector kernel, which rounds differently from the
     # matrix product of the one-shot ``mean + z @ chol.T``.
     size = min(count, _SAMPLE_BLOCK + 1)
-    z, t = np.empty((size, n)), np.empty((size, n))
-    i = 0
-    while i < count:
-        b = count - i if count - i <= size else _SAMPLE_BLOCK
-        rng.standard_normal(out=z[:b])
-        np.matmul(z[:b], model.chol.T, out=t[:b])
-        yield np.add(t[:b], model.mean,
-                     out=t[:b] if rows is None else rows[i:i + b])
-        i += b
+    sizes = (count - i if count - i <= size else _SAMPLE_BLOCK
+             for i in range(0, max(count - 1, 1), _SAMPLE_BLOCK))
+    t, step = np.empty((size, n)), size
+    if count >= _PIPE_BLOCKS * _SAMPLE_BLOCK and saa._cores() > 1:
+        normals = _drawn_ahead(rng, sizes, (size, n))
+        # products in row slices that OpenBLAS computes on this thread: its
+        # own second thread would compete with the helper
+        while step > 2 and step * n * n > _BLAS_SERIAL:
+            step //= 2              # 512 rows at n = 21
+    else:
+        buf = np.empty((size, n))
+        normals = (rng.standard_normal(out=buf[:b]) for b in sizes)
+    try:
+        for i, z in zip(range(0, count, _SAMPLE_BLOCK), normals):
+            b = len(z)
+            for lo in range(0, max(b - 1, 1), step):    # no 1-row slice
+                hi = lo + step if lo + step < b - 1 else b
+                np.matmul(z[lo:hi], model.chol.T, out=t[lo:hi])
+            yield np.add(t[:b], model.mean,
+                         out=t[:b] if rows is None else rows[i:i + b])
+    finally:
+        normals.close()
+
+
+def _drawn_ahead(rng, sizes, shape):
+    """Standard normals from ``rng`` for blocks of ``sizes`` rows in turn,
+    drawn by a helper thread into a ring of _RING buffers of ``shape``: a
+    buffer goes back to the helper when the next block is asked for.  The
+    helper is joined when this generator ends, however it ends, and its
+    exception is raised here after the blocks it drew before it."""
+    ready, free = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(_RING):
+        free.put(np.empty(shape))
+
+    def fill():
+        try:
+            for b in sizes:
+                z = free.get()
+                if z is None:           # put back on close
+                    return
+                ready.put(rng.standard_normal(out=z[:b]))
+            ready.put(None)             # every block is drawn
+        except BaseException as e:      # raised again in the caller
+            ready.put(e)
+
+    helper = threading.Thread(target=fill, daemon=True)
+    helper.start()
+    try:
+        while (z := ready.get()) is not None:
+            if isinstance(z, BaseException):
+                raise z
+            yield z
+            free.put(z.base)            # the whole buffer
+    finally:
+        free.put(None)
+        helper.join()
 
 
 def solve_gaussian_exact(model: GaussianModel, alpha: float, eps: float,

@@ -41,7 +41,8 @@ class ScenarioSet:
         r = np.asarray(self.returns, dtype=float)
         if r.ndim != 2 or r.shape[0] < 1:
             raise ValueError("returns must be a non-empty N x n matrix")
-        r = np.asfortranarray(r)
+        # a view: a caller's column-major array is stored, not its flags
+        r = np.asfortranarray(r).view()
         # one column at a time: no N x n boolean temporary
         if not all(np.isfinite(col).all() for col in r.T):
             raise ValueError("returns must be finite")

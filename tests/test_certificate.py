@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ccsaa import certificate
 from ccsaa.certificate import (RiskSpec, ScenarioBudget, binomial_upper_limit,
                                cg_log_beta, max_removals)
 from ccsaa.errors import NoFeasibleBudget
@@ -99,6 +100,68 @@ class TestMaxRemovals:
             budget = max_removals(N, SPEC20)
             above = cg_log_beta(N, budget.k_removals + 1, SPEC20)
             assert 10 ** above > SPEC20.beta
+
+
+def old_search(N, spec, sum_limit):
+    """The doubling-and-bisection search that preceded the one-pass proposal."""
+    def ok(k):
+        return cg_log_beta(N, k, spec, sum_limit) <= np.log10(spec.beta)
+    if not ok(0):
+        return None
+    hi = 1
+    while hi < N and ok(min(hi, N - 1)):
+        hi *= 2
+    hi = min(hi, N - 1)
+    lo = hi // 2 if hi > 1 else 0
+    while lo < hi:                  # ok(lo) holds; find the last k with ok(k)
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid - 1)
+    return ScenarioBudget(N, lo, float(10.0 ** cg_log_beta(N, lo, spec, sum_limit)))
+
+
+class TestOnePassBudget:
+    GRID = [(N, RiskSpec(eps, beta, n), limit)
+            for N in (1, 2, 7, 60, 1000, 2500, 10_007, 100_000)
+            for eps in (0.01, 0.05, 0.3)
+            for beta in (1e-9, 5e-6, 0.2)
+            for n in (1, 3, 21)
+            for limit in ("campi", "paper")]
+
+    def test_same_budget_as_the_search(self):
+        for N, spec, limit in self.GRID:
+            want = old_search(N, spec, limit)
+            if want is None:
+                with pytest.raises(NoFeasibleBudget):
+                    max_removals(N, spec, limit)
+            else:
+                got = max_removals(N, spec, limit)
+                assert (got.k_removals, repr(got.beta_achieved)) == \
+                    (want.k_removals, repr(want.beta_achieved)), (N, spec, limit)
+
+    def test_large_n_budgets(self):
+        for N in (10**6, 10**7):
+            got, want = max_removals(N, SPEC20), old_search(N, SPEC20, "campi")
+            assert (got.k_removals, repr(got.beta_achieved)) == \
+                (want.k_removals, repr(want.beta_achieved))
+
+    @pytest.mark.parametrize("offset", [-5, -1, 1, 7, 10**9])
+    def test_wrong_proposal_falls_back(self, monkeypatch, offset):
+        right = certificate._propose
+        monkeypatch.setattr(certificate, "_propose", lambda *a: right(*a) + offset)
+        for N, spec, limit in [(2500, SPEC20, "campi"), (100_000, SPEC20, "paper"),
+                               (60, RiskSpec(0.3, 0.2, 1), "campi")]:
+            got, want = max_removals(N, spec, limit), old_search(N, spec, limit)
+            assert (got.k_removals, got.beta_achieved) == \
+                (want.k_removals, want.beta_achieved)
+
+    def test_proposal_needs_three_bound_evaluations(self, monkeypatch):
+        calls = []
+        exact = certificate.cg_log_beta
+        monkeypatch.setattr(certificate, "cg_log_beta",
+                            lambda *a: calls.append(a[1]) or exact(*a))
+        budget = max_removals(1_000_000, SPEC20)
+        assert budget.k_removals == 45978
+        assert calls == [0, 45978, 45979]
 
 
 class TestBinomialUpperLimit:

@@ -1,8 +1,12 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ccsaa import gaussian, saa
 from ccsaa._normal import norm_cdf
 from ccsaa.errors import ConfigError, InfeasibleModel, NotPositiveSemidefinite
 from ccsaa.gaussian import (GaussianModel, cholesky, draw_blocks,
@@ -157,6 +161,133 @@ class TestSampling:
         assert np.abs(sc.returns.mean(axis=0) - m.mean).max() <= 0.01
         emp_cov = np.cov(sc.returns.T)
         assert np.abs(emp_cov - cov).max() <= 0.02
+
+
+def model21():
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(21, 21)) * 0.05
+    return GaussianModel(rng.uniform(1.0, 1.1, 21), A @ A.T)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Two cores whatever the machine has; records every helper thread a
+    draw starts."""
+    monkeypatch.setattr(saa, "_cores", lambda: 2)
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(gaussian.threading, "Thread", Recording)
+    return started
+
+
+class TestPipelinedDraw:
+    """From 8 blocks on a helper thread draws the normals; the rows, the
+    blocks and the counts stay those of the serial loop, and the helper is
+    joined however the draw ends."""
+
+    @pytest.mark.parametrize("count", [1, 2, 513, 514, 2049, 2050, 16_383,
+                                       16_385, 100_001])
+    def test_bit_identical_at_block_and_slice_edges(self, helpers, count):
+        m = model21()
+        want = m.mean + np.random.default_rng(21).standard_normal((count, 21)) @ m.chol.T
+        r = sample_scenarios(m, count, seed=21).returns
+        assert r.flags.f_contiguous and r.tobytes(order="C") == want.tobytes()
+        blocks = [b.copy() for b in draw_blocks(m, count, seed=21)]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert len(helpers) == 2 * (count >= 16_384)
+        assert not any(h.is_alive() for h in helpers)
+
+    def test_one_core_is_serial(self, helpers, monkeypatch):
+        m = model21()
+        piped = sample_scenarios(m, 20_000, seed=5).returns
+        assert len(helpers) == 1
+        monkeypatch.setattr(saa, "_cores", lambda: 1)
+        before = threading.active_count()
+        serial = sample_scenarios(m, 20_000, seed=5).returns
+        assert threading.active_count() == before and len(helpers) == 1
+        assert serial.tobytes() == piped.tobytes()
+
+    def test_closed_after_three_blocks(self, helpers):
+        blocks = draw_blocks(model21(), 100_000, seed=1)
+        for _ in range(3):
+            next(blocks)
+        assert helpers[0].is_alive()
+        blocks.close()
+        assert not helpers[0].is_alive()
+
+    def test_abandoned(self, helpers):
+        blocks = draw_blocks(model21(), 100_000, seed=1)
+        next(blocks)
+        del blocks
+        assert not helpers[0].is_alive()
+
+    def test_consumer_raises(self, helpers):
+        with pytest.raises(KeyError):
+            for k, _ in enumerate(draw_blocks(model21(), 100_000, seed=1)):
+                if k == 4:
+                    raise KeyError(k)
+        assert not helpers[0].is_alive()
+
+    def test_helper_exception_reaches_the_caller(self, helpers, monkeypatch):
+        class Failing:
+            def __init__(self, seed):
+                self.rng, self.calls = real(seed), 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == 5:
+                    raise MemoryError("fifth block")
+                return self.rng.standard_normal(out=out)
+
+        m, real = model21(), np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        got = []
+        with pytest.raises(MemoryError, match="fifth block"):
+            for block in draw_blocks(m, 100_000, seed=1):
+                got.append(block.copy())
+        assert not helpers[0].is_alive()
+        # the four blocks drawn before it are the draw's
+        want = m.mean + real(1).standard_normal((4 * 2048, 21)) @ m.chol.T
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+    def test_concurrent_draws_with_fast_switching(self, helpers):
+        # four pipelined draws at once, eight threads on two cores, with the
+        # interpreter switching threads every microsecond
+        m = model21()
+        want = [m.mean + np.random.default_rng(s).standard_normal((40_000, 21))
+                @ m.chol.T for s in range(4)]
+        got = [None] * 4
+
+        def draw(s):
+            got[s] = sample_scenarios(m, 40_000, seed=s).returns
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(s,)) for s in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        started = [h for h in helpers if h not in threads]
+        assert len(started) == 4 and not any(h.is_alive() for h in started)
+        for g, w in zip(got, want):
+            assert g.tobytes(order="C") == w.tobytes()
+
+    def test_huge_draw_first_block_at_once(self, helpers):
+        m = GaussianModel([1.1, 1.05, 1.02, 1.0], np.eye(4) * 0.01)
+        t0 = time.perf_counter()
+        block = next(draw_blocks(m, 10**12, seed=1))
+        assert block.shape == (2048, 4) and time.perf_counter() - t0 < 1.0
+        assert not helpers[0].is_alive()
 
 
 class TestExactBaseline:

@@ -7,6 +7,7 @@ import pytest
 
 from ccsaa import saa
 from ccsaa.certificate import ScenarioBudget
+from ccsaa.gaussian import GaussianModel, draw_blocks
 from ccsaa.lp import lp_solve
 from ccsaa.saa import (VIOLATION_TOL, ChanceProgramSpec, OutcomeVector,
                        ScenarioSet, build_saa_lp, certify, evaluate_outcomes)
@@ -36,6 +37,18 @@ class TestTypes:
         assert s.returns.flags.f_contiguous and not s.returns.flags.writeable
         assert np.array_equal(s.returns, rows)
         assert rows.flags.writeable          # the caller's array is untouched
+
+    def test_caller_array_keeps_its_flags(self):
+        # stored as a read-only view of a column-major input, a copy of a
+        # row-major one; either way the caller may still write its array
+        for order in ("F", "C"):
+            rows = np.asarray(np.random.default_rng(2).normal(size=(37, 5)),
+                              order=order)
+            s = ScenarioSet(rows)
+            assert s.returns.flags.f_contiguous and not s.returns.flags.writeable
+            assert np.shares_memory(s.returns, rows) == (order == "F")
+            rows[0, 0] = 7.0
+            assert rows.flags.writeable
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -216,6 +229,20 @@ class TestCountViolations:
         bad[150_000, 20] = np.nan
         with pytest.raises(ValueError, match="returns must be finite"):
             saa.count_violations(xs, [bad], spec)
+
+    def test_counts_of_the_pipelined_draw(self, monkeypatch):
+        # a 100,000-row test draw counted with the helper thread and without
+        rng = np.random.default_rng(33)
+        A = rng.normal(size=(21, 21)) * 0.04
+        model = GaussianModel(rng.uniform(1.0, 1.08, 21), A @ A.T)
+        spec = ChanceProgramSpec(1.0, np.ones(21))
+        xs = [np.full(21, 1 / 21), np.eye(21)[4], np.eye(21)[[2, 9]].mean(0)]
+        counts = {}
+        for cores in (2, 1):
+            monkeypatch.setattr(saa, "_cores", lambda c=cores: c)
+            counts[cores] = saa.count_violations(
+                xs, draw_blocks(model, 100_000, seed=8), spec)
+        assert counts[2] == counts[1] and min(counts[1]) > 0
 
 
 class TestCertify:
